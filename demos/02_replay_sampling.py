@@ -29,5 +29,5 @@ print("Ring-buffer eviction: capacity 3, four adds drop the oldest entry.")
 buf = ReplayBuffer(capacity=3, state_dim=1, n_actions=2)
 for reward in (10.0, 11.0, 12.0, 13.0):
     buf.add(Experience(np.zeros(1), 0, reward, np.zeros(1), False))
-kept = sorted({e.reward for _, e in buf.sample(500, np.random.default_rng(1))})
+kept = sorted(set(buf.sample(500, np.random.default_rng(1)).rewards.tolist()))
 print(f"rewards still stored: {kept}")

@@ -117,22 +117,22 @@ def select_action(qvals: np.ndarray, epsilon: float, rng: np.random.Generator) -
     return int(np.argmax(qvals))
 
 
-def compute_targets(batch: list[Experience], target_net: Mlp, variant: str,
-                    gamma: float, n_actions: int = N_ACTIONS) -> np.ndarray:
+def compute_targets(rewards: np.ndarray, next_states: np.ndarray, terminal: np.ndarray,
+                    target_net: Mlp, variant: str, gamma: float,
+                    n_actions: int = N_ACTIONS) -> np.ndarray:
     """Bootstrap targets r + gamma * max_a' Q(s', a'; target); terminal rows use r."""
-    if not batch:
+    if len(rewards) == 0:
         raise ValueError("batch is empty")
-    next_states = np.array([e.next_state for e in batch], dtype=float)
-    rewards = np.array([e.reward for e in batch])
-    live = np.array([0.0 if e.terminal else 1.0 for e in batch])
-    best_next = _q_matrix(target_net, variant, next_states, n_actions).max(axis=1)
-    return rewards + gamma * best_next * live
+    best_next = _q_matrix(target_net, variant, np.asarray(next_states, dtype=float),
+                          n_actions).max(axis=1)
+    return np.asarray(rewards, dtype=float) + np.where(terminal, 0.0, gamma * best_next)
 
 
 def td_error(exp: Experience, local_net: Mlp, target_net: Mlp, variant: str,
              gamma: float, n_actions: int = N_ACTIONS) -> float:
     """Bootstrap target minus the local network's estimate for the taken action."""
-    y = compute_targets([exp], target_net, variant, gamma, n_actions)[0]
+    y = compute_targets([exp.reward], [exp.next_state], [exp.terminal],
+                        target_net, variant, gamma, n_actions)[0]
     q = q_values(local_net, variant, np.asarray(exp.state, dtype=float), n_actions)[exp.action]
     return float(y - q)
 
@@ -154,9 +154,9 @@ class Task(Protocol):
 class BiddingTask:
     """Market environment adapter: owns history and the requirement estimates.
 
-    Requirement estimates for the whole episode are precomputed at reset;
-    the hourly totals the forecaster reads do not depend on anyone's bids
-    because dispatch always balances the requirement.
+    Requirement estimates for the whole episode are computed at reset and kept
+    until a reset brings another seed; the hourly totals the forecaster reads
+    do not depend on anyone's bids because dispatch balances the requirement.
     """
 
     def __init__(self, env: ReactiveMarketEnv, forecaster, reward_scale: float = 1.0):
@@ -165,17 +165,17 @@ class BiddingTask:
         self.reward_scale = reward_scale
         self.n_actions = N_ACTIONS
         self.state_dim = STATE_DIM
-        self._estimate_cache: dict[int, np.ndarray] = {}
+        self._estimate_seed: int | None = None
 
     def reset(self, seed: int) -> np.ndarray:
         lead_totals = self.env.reset(seed)
-        # The totals series is fixed by the seed, so estimates are reusable.
-        if seed not in self._estimate_cache:
+        # The totals series is fixed by the seed: keep the last seed's estimates.
+        if seed != self._estimate_seed:
             totals = np.concatenate([lead_totals, self.env.base_total + self.env.demand_values])
             windows = np.lib.stride_tricks.sliding_window_view(totals, len(lead_totals))
             preds = self.forecaster.predict_batch_normalized(windows)
-            self._estimate_cache[seed] = np.clip(preds, 0.0, 1.0)
-        self._estimates = self._estimate_cache[seed]
+            self._estimates = np.clip(preds, 0.0, 1.0)
+            self._estimate_seed = seed
         self._records: list[StepRecord] = []
         return encode_state(self._records, 0, self._estimates[0], self.reward_scale)
 
@@ -292,38 +292,29 @@ def _one_training_pass(local: Mlp, target: Mlp, buffer: ReplayBuffer, opt,
 
     Returns the mean |TD error| of the batch measured after the update.
     """
-    sampled = buffer.sample(config.batch_size, rng)
-    indices = [i for i, _ in sampled]
-    batch = [e for _, e in sampled]
-    y = compute_targets(batch, target, config.variant, config.gamma, n_actions)
-    states = np.array([e.state for e in batch], dtype=float)
-    actions = np.array([e.action for e in batch])
-    m = len(batch)
+    batch = buffer.sample(config.batch_size, rng)
+    y = compute_targets(batch.rewards, batch.next_states, batch.terminal, target,
+                        config.variant, config.gamma, n_actions)
+    m = len(y)
+    # The network input and the output entry that holds Q(s, a) for each row.
     if config.variant == "nfq2":
-        out, cache = local._forward_cache(states)
-        pred = out[np.arange(m), actions]
+        inputs, taken = batch.states, (np.arange(m), batch.actions)
     else:
-        inputs = np.concatenate([states, (actions / (n_actions - 1))[:, None]], axis=1)
-        out, cache = local._forward_cache(inputs)
-        pred = out[:, 0]
-    err = pred - y
+        action_col = (batch.actions / (n_actions - 1))[:, None]
+        inputs, taken = np.concatenate([batch.states, action_col], axis=1), (slice(None), 0)
+    out, cache = local._forward_cache(inputs)
+    err = out[taken] - y
     loss = float(np.mean(err * err))
     if not np.isfinite(loss):
         raise NumericError(f"diverged ({context}): non-finite TD loss")
-    if config.variant == "nfq2":
-        grad_out = np.zeros_like(out)
-        grad_out[np.arange(m), actions] = 2.0 * err / m
-    else:
-        grad_out = (2.0 * err / m)[:, None]
+    grad_out = np.zeros_like(out)
+    grad_out[taken] = 2.0 * err / m
     opt.step(local, local._backward_from_cache(cache, grad_out))
 
     # Priorities reflect the freshly updated local network.
-    if config.variant == "nfq2":
-        q_new = local.forward(states)[np.arange(m), actions]
-    else:
-        q_new = local.forward(inputs)[:, 0]
+    q_new = local.forward(inputs)[taken]
     deltas = y - q_new
-    buffer.update_priorities(indices, deltas)
+    buffer.update_priorities(batch.indices, deltas)
     return float(np.mean(np.abs(deltas)))
 
 

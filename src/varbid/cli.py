@@ -87,15 +87,8 @@ def _cmd_forecast_train(args) -> int:
     config = _build_config(args)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = config.seeds[0]
-    series = harness.simulate_total_quantity(
-        config.gencos(), config.demand_config(), seed=harness.derive_env_seed(seed),
-        steps=config.forecaster_series_steps)
+    series, forecaster, train_mse = harness.prepare_forecaster(config, config.seeds[0])
     forecast.save_series_csv(series, str(out / "training_series.csv"))
-    forecaster, train_mse = forecast.train_forecaster(
-        series, units=config.forecaster_units, epochs=config.forecaster_epochs,
-        seed=seed, batch_size=config.forecaster_batch_size,
-        learning_rate=config.forecaster_learning_rate)
     forecast.save_forecaster(forecaster, str(out / "forecaster.json"))
     lstm_mse, ref_mse = forecast.holdout_mse(series, forecaster)
     print(f"training MSE (normalized): {train_mse:.6g}")

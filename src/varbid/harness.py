@@ -257,16 +257,18 @@ def derive_env_seed(seed: int) -> int:
     return int(np.random.default_rng([seed, STREAM_ENV]).integers(2**63))
 
 
-def _prepare_forecaster(config: ExperimentConfig, gencos, seed: int) -> Forecaster:
-    series = simulate_total_quantity(gencos, config.demand_config(),
+def prepare_forecaster(config: ExperimentConfig,
+                       seed: int) -> tuple[np.ndarray, Forecaster, float]:
+    """(series, forecaster, training MSE) fitted on the seed's total-quantity series."""
+    series = simulate_total_quantity(config.gencos(), config.demand_config(),
                                      seed=derive_env_seed(seed),
                                      steps=config.forecaster_series_steps)
     fc_seed = int(np.random.default_rng([seed, STREAM_FORECASTER]).integers(2**31))
-    forecaster, _ = train_forecaster(series, units=config.forecaster_units,
-                                     epochs=config.forecaster_epochs, seed=fc_seed,
-                                     batch_size=config.forecaster_batch_size,
-                                     learning_rate=config.forecaster_learning_rate)
-    return forecaster
+    forecaster, train_mse = train_forecaster(series, units=config.forecaster_units,
+                                             epochs=config.forecaster_epochs, seed=fc_seed,
+                                             batch_size=config.forecaster_batch_size,
+                                             learning_rate=config.forecaster_learning_rate)
+    return series, forecaster, train_mse
 
 
 def _trace_rows(infos: list[dict], n_gencos: int) -> tuple[list[str], list[list]]:
@@ -299,7 +301,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     window = max(1, int(round(config.convergence_window * config.episodes)))
     per_seed: list[SeedOutcome] = []
     for seed in config.seeds:
-        forecaster = _prepare_forecaster(config, gencos, seed)
+        _, forecaster, _ = prepare_forecaster(config, seed)
         save_forecaster(forecaster, str(out / f"forecaster_seed{seed}.json"))
         env = ReactiveMarketEnv(gencos=tuple(gencos), learner=learner,
                                 rival_strategy=config.strategy,

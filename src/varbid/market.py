@@ -466,7 +466,6 @@ class ReactiveMarketEnv:
             "profit": p,
             "baseline_profit": p_base,
             "baseline_payment": float(baseline.prices[k] * baseline.qg[k]),
-            "baseline_outcome": baseline,
             "bids_b1": [b.b1 for b in bids_actual],
             "bids_b2": [b.b2 for b in bids_actual],
             "qg": outcome.qg,

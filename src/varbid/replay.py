@@ -1,20 +1,20 @@
 """Prioritized experience replay with proportional sampling.
 
-Transitions are stored in a ring buffer (oldest-first eviction) alongside
-priorities p_i = |td_error| + eps_priority. Sampling draws index i with
-probability p_i^beta / sum_j p_j^beta, with replacement, using a binary
-sum tree so adds, priority updates and draws are O(log capacity). beta = 0
-degrades to uniform sampling; every stored entry keeps a nonzero
-probability because priorities are floored at eps_priority.
-
-No importance-sampling weight correction is applied: the training loss
-weights all sampled transitions equally.
+Transitions live in preallocated arrays used as a ring buffer (oldest-first
+eviction), with priorities p_i = |td_error| + eps_priority, so every stored
+entry keeps a nonzero probability. A draw picks index i with probability
+p_i^beta / sum_j p_j^beta, with replacement, by a binary search of the
+cumulative sum of p^beta: O(size) per batch of draws, but one vectorized pass,
+which at this library's sizes (up to about 1e5 entries) beats a sum tree's
+per-level loop. beta = 0 is uniform. No importance-sampling correction is
+applied to the loss.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,53 +30,15 @@ class Experience:
     terminal: bool
 
 
-class SumTree:
-    """Array-backed binary tree whose internal nodes hold subtree sums."""
+class Batch(NamedTuple):
+    """Sampled buffer indices and the transition fields stored at them."""
 
-    def __init__(self, capacity: int):
-        self.capacity = 1
-        while self.capacity < capacity:
-            self.capacity *= 2
-        self.nodes = np.zeros(2 * self.capacity - 1)
-        self._leaf0 = self.capacity - 1
-
-    @property
-    def total(self) -> float:
-        return float(self.nodes[0])
-
-    def set(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Assign leaf values and repair sums level by level.
-
-        Duplicate indices resolve last-write-wins (numpy assignment order).
-        """
-        idx = np.asarray(indices, dtype=int) + self._leaf0
-        self.nodes[idx] = values
-        parents = np.unique((idx - 1) // 2)
-        while parents.size:
-            self.nodes[parents] = self.nodes[2 * parents + 1] + self.nodes[2 * parents + 2]
-            parents = np.unique((parents[parents > 0] - 1) // 2)
-
-    def set_one(self, index: int, value: float) -> None:
-        """Single-leaf assignment with an exact parent-sum walk."""
-        nodes = self.nodes
-        idx = index + self._leaf0
-        nodes[idx] = value
-        while idx:
-            idx = (idx - 1) >> 1
-            left = 2 * idx + 1
-            nodes[idx] = nodes[left] + nodes[left + 1]
-
-    def find(self, cumsums: np.ndarray) -> np.ndarray:
-        """Leaf indices whose cumulative-sum interval contains each value."""
-        idx = np.zeros(len(cumsums), dtype=int)
-        rest = np.asarray(cumsums, dtype=float).copy()
-        while idx[0] < self._leaf0:  # complete tree: all leaves at one depth
-            left = 2 * idx + 1
-            left_sum = self.nodes[left]
-            go_left = rest < left_sum
-            idx = np.where(go_left, left, left + 1)
-            rest = np.where(go_left, rest, rest - left_sum)
-        return idx - self._leaf0
+    indices: np.ndarray
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    terminal: np.ndarray
 
 
 class ReplayBuffer:
@@ -99,14 +61,18 @@ class ReplayBuffer:
         self.p_init = p_init  # None: track the running max priority, start 1.0
         self.state_dim = state_dim
         self.n_actions = n_actions
-        self._entries: list[Experience] = []
         self._priorities = np.zeros(capacity)
-        self._tree = SumTree(capacity)
+        self._weights = np.zeros(capacity)  # p^beta, the sampling weights
+        self.actions = np.zeros(capacity, dtype=int)
+        self.rewards = np.zeros(capacity)
+        self.terminal = np.zeros(capacity, dtype=bool)
+        self.states = self.next_states = None  # (capacity, state_dim) once known
+        self._size = 0
         self._write = 0
         self._max_priority = 1.0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
 
     def priority(self, index: int) -> float:
         return float(self._priorities[index])
@@ -128,34 +94,38 @@ class ReplayBuffer:
     def add(self, exp: Experience) -> None:
         """Store with the fresh-entry priority, evicting the oldest at capacity."""
         self._validate(exp)
+        if self.states is None:  # zeroed pages are only touched as entries arrive
+            self.states = np.zeros((self.capacity, self.state_dim))
+            self.next_states = np.zeros((self.capacity, self.state_dim))
+        w = self._write
+        self.states[w] = exp.state
+        self.next_states[w] = exp.next_state
+        self.actions[w] = exp.action
+        self.rewards[w] = exp.reward
+        self.terminal[w] = exp.terminal
         priority = self._max_priority if self.p_init is None else self.p_init
-        if len(self._entries) < self.capacity:
-            self._entries.append(exp)
-        else:
-            self._entries[self._write] = exp
-        self._priorities[self._write] = priority
-        self._tree.set_one(self._write, priority ** self.beta)
+        self._priorities[w] = priority
+        self._weights[w] = priority ** self.beta
         self._max_priority = max(self._max_priority, priority)
-        self._write = (self._write + 1) % self.capacity
-
-    def _set_priorities(self, indices: np.ndarray, priorities: np.ndarray) -> None:
-        self._priorities[indices] = priorities
-        self._tree.set(indices, priorities ** self.beta)
-        self._max_priority = max(self._max_priority, float(priorities.max()))
+        self._size = min(self._size + 1, self.capacity)
+        self._write = (w + 1) % self.capacity
 
     def sample_indices(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """Draw m indices with replacement, index i with probability p_i^beta / sum."""
         if m < 1:
             raise ValueError(f"sample size must be >= 1, got {m}")
-        if not self._entries:
+        if not self._size:
             raise RuntimeError("cannot sample from an empty buffer")
-        u = rng.random(m) * self._tree.total
-        idx = self._tree.find(u)
-        # Guard the float edge u == total, which would land one leaf past the end.
-        return np.minimum(idx, len(self._entries) - 1)
+        cumulative = np.cumsum(self._weights[:self._size])
+        u = rng.random(m) * cumulative[-1]
+        idx = np.searchsorted(cumulative, u, side="right")
+        # Guard the float edge u == total, which would land one entry past the end.
+        return np.minimum(idx, self._size - 1)
 
-    def sample(self, m: int, rng: np.random.Generator) -> list[tuple[int, Experience]]:
-        return [(int(i), self._entries[i]) for i in self.sample_indices(m, rng)]
+    def sample(self, m: int, rng: np.random.Generator) -> Batch:
+        idx = self.sample_indices(m, rng)
+        return Batch(idx, self.states[idx], self.actions[idx], self.rewards[idx],
+                     self.next_states[idx], self.terminal[idx])
 
     def update_priorities(self, indices, td_errors) -> None:
         """Set priority |td_error| + eps_priority at each index (last write wins)."""
@@ -165,9 +135,12 @@ class ReplayBuffer:
             raise ValueError(f"{idx.size} indices but {errs.size} errors")
         if idx.size == 0:
             return
-        if idx.min() < 0 or idx.max() >= len(self._entries):
-            raise ValueError(f"index outside stored range [0, {len(self._entries) - 1}]")
-        self._set_priorities(idx, np.abs(errs) + self.eps_priority)
+        if idx.min() < 0 or idx.max() >= self._size:
+            raise ValueError(f"index outside stored range [0, {self._size - 1}]")
+        priorities = np.abs(errs) + self.eps_priority
+        self._priorities[idx] = priorities
+        self._weights[idx] = priorities ** self.beta
+        self._max_priority = max(self._max_priority, float(priorities.max()))
 
     def dump_csv(self, path: str) -> None:
         """Write one row per stored transition: state, action, reward, priority."""
@@ -175,6 +148,6 @@ class ReplayBuffer:
             writer = csv.writer(fh)
             dim = self.state_dim or 0
             writer.writerow([f"s{i}" for i in range(dim)] + ["action", "reward", "terminal", "priority"])
-            for i, exp in enumerate(self._entries):
-                writer.writerow(list(np.asarray(exp.state, dtype=float))
-                                + [exp.action, exp.reward, int(exp.terminal), self._priorities[i]])
+            for i in range(self._size):
+                writer.writerow(list(self.states[i]) + [int(self.actions[i]), float(self.rewards[i]),
+                                                        int(self.terminal[i]), self._priorities[i]])

@@ -135,18 +135,24 @@ def _exp(state, action, reward, next_state, terminal=False):
                       np.asarray(next_state, dtype=float), terminal)
 
 
+def _fields(batch):
+    """The (rewards, next_states, terminal) arrays of a list of transitions."""
+    return (np.array([e.reward for e in batch]), np.array([e.next_state for e in batch]),
+            np.array([e.terminal for e in batch]))
+
+
 class TestTargetsAndTdError:
     def test_gamma_zero_targets_are_rewards(self):
         net = Mlp.random([13, 8, 81], seed=0)
         batch = [_exp(np.zeros(13), 4, 1.5, np.ones(13)),
                  _exp(np.ones(13), 2, -0.5, np.zeros(13))]
-        y = compute_targets(batch, net, "nfq2", 0.0)
+        y = compute_targets(*_fields(batch), net, "nfq2", 0.0)
         assert np.allclose(y, [1.5, -0.5])
 
     def test_terminal_ignores_bootstrap(self):
         net = Mlp.random([13, 8, 81], seed=0)
         batch = [_exp(np.zeros(13), 0, 2.0, np.ones(13), terminal=True)]
-        assert compute_targets(batch, net, "nfq2", 0.9)[0] == pytest.approx(2.0)
+        assert compute_targets(*_fields(batch), net, "nfq2", 0.9)[0] == pytest.approx(2.0)
 
     def test_hand_built_q_table_backup(self):
         # Linear identity net embeds a 2-state Q-table: Q(s, a) = W one_hot(s).
@@ -154,7 +160,7 @@ class TestTargetsAndTdError:
         net = Mlp([table], [np.zeros(2)], ["linear"])
         batch = [_exp([1.0, 0.0], 0, 0.5, [0.0, 1.0]),
                  _exp([0.0, 1.0], 1, -1.0, [1.0, 0.0])]
-        y = compute_targets(batch, net, "nfq2", 0.5, n_actions=2)
+        y = compute_targets(*_fields(batch), net, "nfq2", 0.5, n_actions=2)
         assert y[0] == pytest.approx(0.5 + 0.5 * max(1.2, 0.1))
         assert y[1] == pytest.approx(-1.0 + 0.5 * max(0.3, 0.7))
 
@@ -179,7 +185,7 @@ class TestTargetsAndTdError:
         target = Mlp.random([13, 8, 81], seed=2)
         exp = _exp(np.random.default_rng(0).normal(size=13), 11, 0.3,
                    np.random.default_rng(1).normal(size=13))
-        expected = (compute_targets([exp], target, "nfq2", 0.4)[0]
+        expected = (compute_targets(*_fields([exp]), target, "nfq2", 0.4)[0]
                     - q_values(local, "nfq2", exp.state)[11])
         assert td_error(exp, local, target, "nfq2", 0.4) == pytest.approx(expected, abs=1e-12)
 
@@ -203,8 +209,8 @@ class TestWarmup:
     def test_actions_roughly_uniform(self):
         buf = ReplayBuffer(3000, state_dim=2, n_actions=2)
         warmup(TwoStateMdp(), buf, 3000, np.random.default_rng(3))
-        actions = [e.action for _, e in buf.sample(3000, np.random.default_rng(0))]
-        share = np.mean(np.array(actions) == 0)
+        actions = buf.sample(3000, np.random.default_rng(0)).actions
+        share = np.mean(actions == 0)
         assert 0.45 < share < 0.55
 
 
@@ -293,7 +299,8 @@ class TestTrain:
         expected_indices = buf.sample_indices(cfg.batch_size, probe)
         _one_training_pass(local, target, buf, opt, cfg, 2, rng_per, context="test")
         for idx in np.unique(expected_indices):
-            exp = buf._entries[idx]
+            exp = Experience(buf.states[idx], int(buf.actions[idx]), buf.rewards[idx],
+                             buf.next_states[idx], bool(buf.terminal[idx]))
             delta = td_error(exp, local, target, cfg.variant, cfg.gamma, 2)
             stored = buf.priority(int(idx))
             # last write wins for duplicate indices; every stored value must
@@ -345,6 +352,28 @@ class TestBiddingTask:
         assert all(np.isfinite(e.reward) for e in result.episodes)
         for p in result.local.params():
             assert np.all(np.isfinite(p))
+
+    def test_estimates_kept_for_last_seed_only(self, forecaster):
+        calls = []
+
+        class CountingForecaster:
+            def predict_batch_normalized(self, windows):
+                calls.append(len(windows))
+                return forecaster.predict_batch_normalized(windows)
+
+        task = BiddingTask(ReactiveMarketEnv(episode_steps=30), CountingForecaster())
+        task.reset(0)
+        first = task._estimates.copy()
+        task.reset(0)
+        assert len(calls) == 1  # same seed: estimates reused
+        for seed in range(1, 40):
+            task.reset(seed)
+        # one entry held: the last seed's estimates, one per hour plus the lookahead
+        assert task._estimate_seed == 39
+        assert task._estimates.shape == first.shape == (31,)
+        task.reset(0)
+        assert len(calls) == 41
+        assert np.array_equal(task._estimates, first)
 
     def test_resampled_demand_differs_across_episodes(self, forecaster):
         env = ReactiveMarketEnv(episode_steps=30, rival_strategy="b2")

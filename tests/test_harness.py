@@ -259,6 +259,17 @@ class TestCli:
         assert (tmp_path / "fc" / "forecaster.json").exists()
         assert (tmp_path / "fc" / "training_series.csv").exists()
 
+    def test_forecast_train_writes_the_run_forecaster(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        lines = [f"{k} = {','.join(str(s) for s in v) if isinstance(v, tuple) else v}"
+                 for k, v in tiny_kwargs(tmp_path / "run", seeds=(3,), trace=False).items()]
+        cfg_file.write_text("\n".join(lines) + "\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        assert cli.main(["forecast-train", "--config", str(cfg_file),
+                         "--out-dir", str(tmp_path / "fc")]) == 0
+        assert ((tmp_path / "fc" / "forecaster.json").read_bytes()
+                == (tmp_path / "run" / "forecaster_seed3.json").read_bytes())
+
     def test_bad_config_reports_error(self, tmp_path, capsys):
         assert cli.main(["run", "--set", "gamma=2.0",
                          "--out-dir", str(tmp_path / "bad")]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from varbid.replay import Experience, ReplayBuffer, SumTree
+from varbid.replay import Experience, ReplayBuffer
 
 
 def make_exp(tag=0.0, action=0, terminal=False, dim=3):
@@ -24,7 +24,7 @@ class TestConstruction:
         buf.add(make_exp(1.0))
         buf.add(make_exp(2.0))
         assert len(buf) == 1
-        assert buf.sample(1, np.random.default_rng(0))[0][1].reward == 2.0
+        assert buf.sample(1, np.random.default_rng(0)).rewards[0] == 2.0
 
     def test_beta_zero_is_uniform(self):
         buf = ReplayBuffer(4, beta=0.0, state_dim=3)
@@ -54,11 +54,28 @@ class TestAdd:
             buf.add(make_exp(k))
         assert len(buf) == 3
 
+    def test_sampled_fields_match_last_write(self):
+        buf = ReplayBuffer(3, state_dim=3)
+        written = {}
+        for k in range(7):
+            exp = make_exp(float(k), action=k, terminal=k % 3 == 1)
+            buf.add(exp)
+            written[k % 3] = exp
+        batch = buf.sample(300, np.random.default_rng(4))
+        assert set(batch.indices.tolist()) == {0, 1, 2}
+        for j, i in enumerate(batch.indices):
+            exp = written[int(i)]
+            assert np.array_equal(batch.states[j], exp.state)
+            assert np.array_equal(batch.next_states[j], exp.next_state)
+            assert batch.actions[j] == exp.action
+            assert batch.rewards[j] == exp.reward
+            assert batch.terminal[j] == exp.terminal
+
     def test_oldest_evicted_first(self):
         buf = ReplayBuffer(3, state_dim=3)
         for k in range(4):
             buf.add(make_exp(float(k)))
-        rewards = {e.reward for _, e in buf.sample(200, np.random.default_rng(0))}
+        rewards = set(buf.sample(200, np.random.default_rng(0)).rewards.tolist())
         assert 0.0 not in rewards
         assert rewards <= {1.0, 2.0, 3.0}
 
@@ -93,7 +110,7 @@ class TestSample:
     def test_oversampling_allowed_with_replacement(self):
         buf = ReplayBuffer(4, state_dim=3)
         buf.add(make_exp(0.0))
-        assert len(buf.sample(10, np.random.default_rng(0))) == 10
+        assert len(buf.sample(10, np.random.default_rng(0)).indices) == 10
 
     def test_deterministic_given_seed(self):
         buf = ReplayBuffer(8, state_dim=3)
@@ -103,6 +120,20 @@ class TestSample:
         a = buf.sample_indices(100, np.random.default_rng(42))
         b = buf.sample_indices(100, np.random.default_rng(42))
         assert np.array_equal(a, b)
+
+    def test_draws_match_linear_scan_reference(self):
+        # index i owns [w_0 + ... + w_(i-1), w_0 + ... + w_i) of the draw range
+        buf = ReplayBuffer(8, beta=0.7, state_dim=3)
+        for k in range(6):
+            buf.add(make_exp(k))
+        buf.update_priorities(range(6), [0.5, 0.0, 3.0, 1.0, 0.2, 2.0])
+        idx = buf.sample_indices(500, np.random.default_rng(1))
+        bounds, running = [], 0.0
+        for i in range(6):  # left-to-right running sum, the order the buffer sums in
+            running += buf.priority(i) ** 0.7
+            bounds.append(running)
+        for u, i in zip(np.random.default_rng(1).random(500) * running, idx):
+            assert i == next(j for j, b in enumerate(bounds) if u < b)
 
     def test_two_entry_exact_probabilities(self):
         # priorities 3 and 1 at beta=1: probabilities 0.75 / 0.25
@@ -191,19 +222,6 @@ class TestInvariants:
         for k in range(25):
             buf.add(make_exp(k))
             assert len(buf) == min(k + 1, 10)
-
-    def test_sum_tree_total_tracks_leaf_sums(self):
-        tree = SumTree(12)
-        rng = np.random.default_rng(2)
-        leaves = np.zeros(12)
-        for _ in range(200):
-            i = int(rng.integers(12))
-            v = float(rng.uniform(0, 5))
-            leaves[i] = v
-            tree.set_one(i, v)
-        assert tree.total == pytest.approx(leaves.sum(), rel=1e-12)
-        tree.set(np.arange(12), np.ones(12))
-        assert tree.total == pytest.approx(12.0, rel=1e-12)
 
 
 class TestDump:
