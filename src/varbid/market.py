@@ -115,8 +115,9 @@ _BISECT_ITERS = 60
 def _solve_dispatch(b1, b2, qmax, demand):
     """Allocate incremental quantities by bisection on the shadow price.
 
-    Plain-float scalar path: called twice per environment step, so it avoids
-    numpy overhead. Returns (x list, lambda).
+    Plain-float scalar path: called once per environment step, so it avoids
+    numpy overhead. Sums run over producers in index order, which
+    ``clear_market_batch`` mirrors. Returns (x list, lambda).
     """
     n = len(b1)
     data = tuple(zip(b1, b2, qmax))
@@ -191,6 +192,18 @@ def _solve_dispatch(b1, b2, qmax, demand):
         lam += residual / slope
         curved_total, slope = fill_curved(lam)
         residual = demand - fixed_total - curved_total - sum(x[k] for k in marginal)
+    if residual < -1e-12 or residual > 1e-12:
+        # One ulp of lambda moves a unit of tiny curvature by more than the
+        # residual. Hand the residual to the curved units priced at lambda
+        # that can move its way, in proportion to their slopes, as the price
+        # move lambda cannot resolve would.
+        movers = [k for k, (bb, cc, qq) in enumerate(data)
+                  if cc > 0.0 and bb <= lam + gap and bb + 2.0 * cc * qq >= lam - gap
+                  and (x[k] < qq if residual > 0.0 else x[k] > 0.0)]
+        share = sum(0.5 / b2[k] for k in movers)
+        for k in movers:
+            xi = x[k] + residual * (0.5 / b2[k] / share)
+            x[k] = min(max(xi, 0.0), qmax[k])
     return x, lam
 
 
@@ -204,12 +217,15 @@ def clear_market(bids, demand: float, gencos) -> MarketOutcome:
         raise ValueError(f"requirement must be nonnegative, got {demand}")
     if len(bids) != len(gencos):
         raise ValueError(f"{len(bids)} bids for {len(gencos)} producers")
-    b1 = [float(b.b1) for b in bids]
-    b2 = [float(b.b2) for b in bids]
     qmax = [g.q_max for g in gencos]
     total_cap = sum(qmax)
     if demand > total_cap + 1e-12:
         raise InfeasibleDemand(demand, total_cap)
+    return _clear(gencos, qmax, [float(b.b1) for b in bids], [float(b.b2) for b in bids], demand)
+
+
+def _clear(gencos, qmax, b1, b2, demand: float) -> MarketOutcome:
+    """Clear one feasible hour from plain-float bid lists."""
     if demand == 0.0:
         x = [0.0] * len(gencos)
         lam = min(b1)
@@ -220,13 +236,27 @@ def clear_market(bids, demand: float, gencos) -> MarketOutcome:
     return MarketOutcome(qg=qg, prices=prices, shadow_price=lam, demand=demand)
 
 
+def _sum_columns(a: np.ndarray) -> np.ndarray:
+    """Row sums of a (T, n) array added column by column, in producer order.
+
+    This is the scalar solver's order; ``a.sum(axis=1)`` switches to
+    pairwise summation from 8 columns on and then differs in the last bit.
+    """
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
 def clear_market_batch(b1: np.ndarray, b2: np.ndarray, qmax: np.ndarray,
                        demand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized dispatch for (T, n) bid arrays; returns (x (T, n), lambda (T,)).
 
     Rows with purely quadratic bids run a vectorized bisection; rows holding
     any zero-curvature bid fall back to the scalar solver, which handles the
-    step allocations those bids produce.
+    step allocations those bids produce. Every row sum (supply in the
+    bisection, residual, repair slope) adds producers in index order as the
+    scalar solver does, so each row's x equals ``clear_market``'s bit for bit.
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
@@ -251,20 +281,30 @@ def clear_market_batch(b1: np.ndarray, b2: np.ndarray, qmax: np.ndarray,
 
     for _ in range(_BISECT_ITERS):
         lam = 0.5 * (lo + hi)
-        low = alloc(lam).sum(axis=1) < demand
+        low = _sum_columns(alloc(lam)) < demand
         lo = np.where(low, lam, lo)
         hi = np.where(low, hi, lam)
     lam = 0.5 * (lo + hi)
+    gap = np.maximum(1e-9, hi - lo)[:, None]
     x = alloc(lam)
     for _ in range(3):
-        residual = demand - x.sum(axis=1)
+        residual = demand - _sum_columns(x)
         interior = (b2 > 0.0) & (x > 0.0) & (x < cap)
-        slope = np.where(interior, 0.5 / safe_b2, 0.0).sum(axis=1)
+        slope = _sum_columns(np.where(interior, 0.5 / safe_b2, 0.0))
         move = (np.abs(residual) > 1e-12) & (slope > 0.0)
         if not np.any(move):
             break
         lam = np.where(move, lam + residual / np.where(slope > 0.0, slope, 1.0), lam)
         x = alloc(lam)
+    residual = (demand - _sum_columns(x))[:, None]
+    stuck = np.abs(residual) > 1e-12
+    if np.any(stuck):  # the scalar solver's residual hand-over
+        movers = (stuck & (b2 > 0.0) & (b1 <= lam[:, None] + gap)
+                  & (b1 + 2.0 * b2 * cap >= lam[:, None] - gap)
+                  & np.where(residual > 0.0, x < cap, x > 0.0))
+        share = _sum_columns(np.where(movers, 0.5 / safe_b2, 0.0))[:, None]
+        moved = x + residual * (0.5 / safe_b2 / np.where(share > 0.0, share, 1.0))
+        x = np.where(movers, np.clip(moved, 0.0, cap), x)
     for t in flat_rows:
         xs, ls = _solve_dispatch(list(b1[t]), list(b2[t]), list(cap[t]), float(demand[t]))
         x[t] = xs
@@ -371,14 +411,19 @@ class EnvStep(NamedTuple):
 class ReactiveMarketEnv:
     """Episode of hourly clearings with one learning producer.
 
-    Each step takes the learner's bid magnifications (a1, a2) in [1, 5],
-    builds its bid (a1 c1, a2 c2), draws rival bids, clears the market
-    twice (submitted bid and truthful counterfactual against identical
-    rivals and demand) and returns the profit difference as the reward.
-
     ``reset(seed)`` regenerates the requirement series with a one-day
     lead-in so the requirement forecaster has a full window before the
-    first market hour, and returns those lead-in total quantities.
+    first market hour, and returns those lead-in total quantities. Rival
+    bids and the truthful counterfactual depend only on the seed, so reset
+    also draws every hour's rival bids and clears the learner's truthful
+    bid (c1, c2) against them in one ``clear_market_batch`` call; an
+    infeasible requirement raises InfeasibleDemand there.
+
+    Each step takes the learner's bid magnifications (a1, a2) in [1, 5],
+    puts its bid (a1 c1, a2 c2) into the hour's rival bids, clears the
+    market once and returns the profit difference to the truthful
+    counterfactual as the reward. The batch and scalar solvers agree bit
+    for bit, so the neutral action (1, 1) earns exactly zero.
     """
 
     gencos: tuple = DEFAULT_GENCOS
@@ -396,7 +441,7 @@ class ReactiveMarketEnv:
         if self.episode_steps < 25:
             raise ValueError("episode needs at least 25 steps")
         self._t = len(self)  # unusable until reset
-        self._series: DemandSeries | None = None
+        self._bids_b1: list | None = None
 
     def __len__(self) -> int:
         return self.episode_steps
@@ -414,64 +459,74 @@ class ReactiveMarketEnv:
         return sum(g.bg for g in self.gencos)
 
     def reset(self, seed: int) -> np.ndarray:
-        """Regenerate the requirement series; returns lead-in total quantities."""
+        """Regenerate the series, rival bids and truthful counterfactual.
+
+        Returns the lead-in total quantities.
+        """
         full = demand_profile(self.episode_steps + self.lead_in, seed, self.demand_config)
         self._values = full.values[self.lead_in:]
         self._d_norm = full.normalized[self.lead_in:]
-        self._lead_values = full.values[:self.lead_in]
-        self._series = full
-        self._rng = np.random.default_rng([seed, 1])
+        self._t = len(self)  # stays unusable if the clearing below raises
+
+        # The expressions of rival_bids, drawn hour-major with rivals in index
+        # order as its per-step scalar draws were.
+        k, me = self.learner, self.gencos[self.learner]
+        c1 = np.array([g.c1 for g in self.gencos])
+        c2 = np.array([g.c2 for g in self.gencos])
+        if self.rival_strategy == "b1":
+            noise = np.random.default_rng([seed, 1]).uniform(
+                -B1_NOISE, B1_NOISE, size=(self.episode_steps, len(c1) - 1))
+            d = self._d_norm[:, None] + np.insert(noise, k, 0.0, axis=1)
+            d = np.minimum(np.maximum(d, 0.0), 1.0)
+            b1, b2 = 2.0 * d * c1, 5.0 * d * c2
+        else:
+            b1 = np.tile(c1, (self.episode_steps, 1))
+            b2 = np.tile(c2, (self.episode_steps, 1))
+        b1[:, k], b2[:, k] = me.c1, me.c2
+        self._qmax = [g.q_max for g in self.gencos]
+        x, _ = clear_market_batch(b1, b2, np.array(self._qmax), self._values)
+        base_price = me.c1 + 2.0 * me.c2 * x[:, k]
+        base_qg = me.bg + x[:, k]
+        self._base_profit = profit(base_price, base_qg, me).tolist()
+        self._base_payment = (base_price * base_qg).tolist()
+        self._bids_b1, self._bids_b2 = b1.tolist(), b2.tolist()
         self._t = 0
-        return self.base_total + self._lead_values.copy()
+        return self.base_total + full.values[:self.lead_in]
 
     def step(self, action: tuple[float, float]) -> EnvStep:
         a1, a2 = float(action[0]), float(action[1])
         if not (1.0 <= a1 <= 5.0 and 1.0 <= a2 <= 5.0):
             raise ValueError(f"bid magnifications must lie in [1, 5], got ({a1}, {a2})")
-        if self._series is None:
+        if self._bids_b1 is None:
             raise RuntimeError("call reset() before step()")
         if self._t >= self.episode_steps:
             return EnvStep(0.0, None, True, {"exhausted": True})
 
-        t = self._t
+        t, k = self._t, self.learner
+        me = self.gencos[k]
         demand = float(self._values[t])
-        d_norm = float(self._d_norm[t])
-        n = len(self.gencos)
-        b1 = [0.0] * n
-        b2 = [0.0] * n
-        for j, g in enumerate(self.gencos):
-            if j == self.learner:
-                continue
-            bid = rival_bids(self.rival_strategy, g, d_norm, self._rng)
-            b1[j], b2[j] = bid.b1, bid.b2
-        me = self.gencos[self.learner]
-        bids_actual = [Bid(b1[j], b2[j]) if j != self.learner else Bid(a1 * me.c1, a2 * me.c2)
-                       for j in range(n)]
-        bids_truthful = [Bid(b1[j], b2[j]) if j != self.learner else Bid(me.c1, me.c2)
-                         for j in range(n)]
-        outcome = clear_market(bids_actual, demand, self.gencos)
-        baseline = clear_market(bids_truthful, demand, self.gencos)
-
-        k = self.learner
+        b1 = list(self._bids_b1[t])
+        b2 = list(self._bids_b2[t])
+        b1[k], b2[k] = a1 * me.c1, a2 * me.c2
+        outcome = _clear(self.gencos, self._qmax, b1, b2, demand)
         p = profit(float(outcome.prices[k]), float(outcome.qg[k]), me)
-        p_base = profit(float(baseline.prices[k]), float(baseline.qg[k]), me)
-        reward = p - p_base
+        p_base = self._base_profit[t]
 
         self._t += 1
         info = {
             "t": t,
             "demand": demand,
-            "d_norm": d_norm,
+            "d_norm": float(self._d_norm[t]),
             "total_quantity": float(outcome.qg.sum()),
             "profit": p,
             "baseline_profit": p_base,
-            "baseline_payment": float(baseline.prices[k] * baseline.qg[k]),
-            "bids_b1": [b.b1 for b in bids_actual],
-            "bids_b2": [b.b2 for b in bids_actual],
+            "baseline_payment": self._base_payment[t],
+            "bids_b1": b1,
+            "bids_b2": b2,
             "qg": outcome.qg,
             "prices": outcome.prices,
         }
-        return EnvStep(reward, outcome, self._t >= self.episode_steps, info)
+        return EnvStep(p - p_base, outcome, self._t >= self.episode_steps, info)
 
 
 def simulate_total_quantity(gencos=DEFAULT_GENCOS, demand_config: DemandConfig = DemandConfig(),

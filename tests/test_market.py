@@ -8,6 +8,16 @@ from varbid.market import (DEFAULT_GENCOS, Bid, DemandConfig, GencoParams,
                            profit, rival_bids)
 
 
+# Nine producers: numpy's row sums switch to pairwise summation from 8
+# columns on, so this table catches a batch solver that sums in another order
+# than the scalar one.
+NINE_GENCOS = DEFAULT_GENCOS + (
+    GencoParams(7, 0.66, 0.45, 0.02500, 0.5),
+    GencoParams(8, 0.81, 0.27, 0.01500, 0.5),
+    GencoParams(9, 0.70, 0.60, 0.04000, 0.5),
+)
+
+
 def autocorrelation(series, lag):
     v = np.asarray(series) - np.mean(series)
     return float(np.dot(v[:-lag], v[lag:]) / np.dot(v, v))
@@ -182,6 +192,25 @@ class TestClearMarket:
             xs = out.qg - np.array([g.bg for g in gencos])
             assert np.abs(xb[t] - xs).max() < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 6, 8, 12])
+    def test_batch_equals_scalar_bit_for_bit(self, n):
+        rng = np.random.default_rng(1000 + n)
+        T = 120
+        qmax = rng.uniform(0.05, 0.7, size=n)
+        gencos = [GencoParams(i + 1, 0.1, 0.1, 0.0, float(q)) for i, q in enumerate(qmax)]
+        b1 = rng.uniform(0.1, 3, size=(T, n))
+        b2 = rng.uniform(0.01, 4, size=(T, n))
+        b2[rng.random((T, n)) < 0.05] = 0.0
+        d = rng.uniform(0.0, 1.0, size=T) * sum(qmax)
+        d[:5] = 0.0
+        d[5:10] = sum(qmax)  # at capacity, summed in producer order
+        x, lam = clear_market_batch(b1, b2, qmax, d)
+        for t in range(T):
+            out = clear_market([Bid(a, b) for a, b in zip(b1[t], b2[t])], float(d[t]), gencos)
+            assert np.array_equal(x[t], out.qg)  # bg = 0: qg is the allocation
+            if d[t] > 0.0:
+                assert lam[t] == out.shadow_price
+
 
 class TestProfit:
     def test_base_generation_only(self):
@@ -270,6 +299,74 @@ class TestEnv:
         lead = env.reset(0)
         assert lead.shape == (24,)
         assert np.all(lead > 0)
+
+
+def _reference_episode(gencos, learner, strategy, seed, actions, steps, lead_in=24):
+    """Rewards and outcomes of an episode cleared the direct way.
+
+    Rival bids come from rival_bids on a fresh default_rng([seed, 1]), drawn
+    hour by hour; each hour clears the submitted and the truthful bid with
+    clear_market.
+    """
+    series = demand_profile(steps + lead_in, seed)
+    rng = np.random.default_rng([seed, 1])
+    me = gencos[learner]
+    rows = []
+    for t, (a1, a2) in enumerate(actions):
+        d_norm = float(series.normalized[lead_in + t])
+        demand = float(series.values[lead_in + t])
+        rivals = {j: rival_bids(strategy, g, d_norm, rng)
+                  for j, g in enumerate(gencos) if j != learner}
+        bids = [rivals.get(j) for j in range(len(gencos))]
+        bids[learner] = Bid(a1 * me.c1, a2 * me.c2)
+        out = clear_market(bids, demand, gencos)
+        bids[learner] = Bid(me.c1, me.c2)
+        base = clear_market(bids, demand, gencos)
+        p = profit(float(out.prices[learner]), float(out.qg[learner]), me)
+        p_base = profit(float(base.prices[learner]), float(base.qg[learner]), me)
+        rows.append((p - p_base, out, p_base, float(base.prices[learner] * base.qg[learner])))
+    return rows
+
+
+class TestEnvMatchesReference:
+    @pytest.mark.parametrize("strategy", ["b1", "b2"])
+    @pytest.mark.parametrize("gencos", [DEFAULT_GENCOS, NINE_GENCOS], ids=["six", "nine"])
+    def test_step_equals_two_direct_clearings(self, gencos, strategy):
+        steps, seed = 168, 5
+        rng = np.random.default_rng(77)
+        grid = 1.0 + 0.5 * rng.integers(0, 9, size=(steps, 2))
+        off_grid = rng.uniform(1.0, 5.0, size=(steps, 2))
+        actions = [tuple(map(float, grid[t] if t % 2 else off_grid[t])) for t in range(steps)]
+        env = ReactiveMarketEnv(gencos=gencos, learner=1, rival_strategy=strategy,
+                                episode_steps=steps)
+        env.reset(seed)
+        expected = _reference_episode(gencos, 1, strategy, seed, actions, steps)
+        for action, (reward, out, p_base, payment) in zip(actions, expected):
+            step = env.step(action)
+            assert step.reward == reward
+            assert np.array_equal(step.outcome.qg, out.qg)
+            assert np.array_equal(step.outcome.prices, out.prices)
+            assert step.outcome.shadow_price == out.shadow_price
+            assert step.info["baseline_profit"] == p_base
+            assert step.info["baseline_payment"] == payment
+
+    @pytest.mark.parametrize("strategy", ["b1", "b2"])
+    def test_neutral_action_exactly_zero_with_nine_producers(self, strategy):
+        env = ReactiveMarketEnv(gencos=NINE_GENCOS, learner=3, rival_strategy=strategy,
+                                episode_steps=168)
+        for seed in (0, 1):
+            env.reset(seed)
+            rewards = [env.step((1.0, 1.0)).reward for _ in range(168)]
+            assert rewards == [0.0] * 168
+
+    def test_infeasible_series_raises_from_reset(self):
+        short = (GencoParams(1, 0.7, 0.3, 0.0, 0.05), GencoParams(2, 0.6, 0.4, 0.0, 0.05))
+        env = ReactiveMarketEnv(gencos=short, learner=0, episode_steps=48)
+        with pytest.raises(InfeasibleDemand) as err:
+            env.reset(0)
+        assert err.value.max_deliverable == pytest.approx(0.1)
+        with pytest.raises(RuntimeError):
+            env.step((1.0, 1.0))
 
 
 class TestGencoTable:
