@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from varbid.nn import (Adam, Lstm, Mlp, NumericError, Rprop, ShapeError,
+from varbid.nn import (Adam, Lstm, Mlp, NumericError, Rprop, ShapeError, _sigmoid,
                        grad_check, load_network, save_network, soft_update)
 
 
@@ -119,6 +119,27 @@ class TestMlpBackward:
         net = Mlp.random([4, 3], seed=0)
         with pytest.raises(ShapeError):
             net.backward(np.zeros(4), np.zeros(2))
+
+
+class TestSigmoid:
+    def test_equals_masked_formula_bit_for_bit(self):
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        tiny = np.finfo(float).tiny
+        special = [0.0, -0.0, 710.0, -710.0, 745.0, -745.0, np.inf, -np.inf,
+                   5e-324, -5e-324, tiny, -tiny, tiny / 3, -tiny / 3]
+        rng = np.random.default_rng(0)
+        x = np.concatenate([special, rng.normal(scale=10.0, size=20000),
+                            rng.uniform(-800.0, 800.0, size=20000)])
+        got = _sigmoid(x)
+        assert np.array_equal(got, masked(x))
+        assert np.array_equal(np.signbit(got), np.signbit(masked(x)))
 
 
 class TestLstm:
