@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Adam, Lstm, NumericError
+from .nn import Adam, Lstm, NumericError, ShapeError
 
 WINDOW = 24  # hours of history per prediction
 
@@ -73,16 +73,12 @@ class Forecaster:
         span = self.hi - self.lo
         return (window - self.lo) / span if span > 0 else np.zeros_like(window)
 
-    def predict_normalized(self, last_24) -> float:
-        """Next-hour prediction in normalized [0, 1]-scale units."""
+    def predict(self, last_24) -> float:
+        """Next-hour prediction on the original series scale."""
         window = np.asarray(last_24, dtype=float)
         if window.shape != (WINDOW,):
             raise ValueError(f"window must have shape ({WINDOW},), got {window.shape}")
-        return float(self.lstm.forward_batch(self._normalize(window)[None, :])[0])
-
-    def predict(self, last_24) -> float:
-        """Next-hour prediction on the original series scale."""
-        return self.lo + self.predict_normalized(last_24) * (self.hi - self.lo)
+        return float(self.predict_batch(window[None, :])[0])
 
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
         """Raw-scale predictions for a (n, 24) array of raw-scale windows."""
@@ -176,8 +172,13 @@ def load_forecaster(path: str) -> Forecaster:
     if blob.get("kind") != "forecaster":
         raise ValueError(f"{path} is not a forecaster checkpoint")
     lstm = Lstm.zeros(blob["input_dim"], blob["units"])
-    for p, flat in zip(lstm.params(), blob["arrays"]):
-        p[...] = np.asarray(flat, dtype=float).reshape(p.shape)
+    for k, (p, flat) in enumerate(zip(lstm.params(), blob["arrays"])):
+        vals = np.asarray(flat, dtype=float)
+        if vals.size != p.size:
+            raise ShapeError(
+                f"{path}: array {k} has {vals.size} values, expected {p.size} for shape "
+                f"{p.shape}; the LSTM layout is [w (4u, in + u), b (4u), w_out (u), b_out (1)]")
+        p[...] = vals.reshape(p.shape)
     return Forecaster(lstm=lstm, lo=blob["lo"], hi=blob["hi"])
 
 

@@ -417,7 +417,9 @@ class ReactiveMarketEnv:
     bids and the truthful counterfactual depend only on the seed, so reset
     also draws every hour's rival bids and clears the learner's truthful
     bid (c1, c2) against them in one ``clear_market_batch`` call; an
-    infeasible requirement raises InfeasibleDemand there.
+    infeasible requirement raises InfeasibleDemand there. The arrays of
+    the last seed that cleared are kept, so a reset with that seed again
+    only rewinds the clock.
 
     Each step takes the learner's bid magnifications (a1, a2) in [1, 5],
     puts its bid (a1 c1, a2 c2) into the hour's rival bids, clears the
@@ -442,6 +444,7 @@ class ReactiveMarketEnv:
             raise ValueError("episode needs at least 25 steps")
         self._t = len(self)  # unusable until reset
         self._bids_b1: list | None = None
+        self._seed = None  # seed whose arrays are held
 
     def __len__(self) -> int:
         return self.episode_steps
@@ -459,14 +462,23 @@ class ReactiveMarketEnv:
         return sum(g.bg for g in self.gencos)
 
     def reset(self, seed: int) -> np.ndarray:
-        """Regenerate the series, rival bids and truthful counterfactual.
+        """Start an episode: series, rival bids and truthful counterfactual.
 
-        Returns the lead-in total quantities.
+        They are rebuilt only when the seed differs from the last one that
+        cleared. Returns the lead-in total quantities.
         """
+        if seed != self._seed:
+            self._build(seed)
+        self._t = 0
+        return self.base_total + self._lead_in_values
+
+    def _build(self, seed: int) -> None:
+        self._seed = None
+        self._t = len(self)  # stays unusable if the clearing below raises
         full = demand_profile(self.episode_steps + self.lead_in, seed, self.demand_config)
+        self._lead_in_values = full.values[:self.lead_in]
         self._values = full.values[self.lead_in:]
         self._d_norm = full.normalized[self.lead_in:]
-        self._t = len(self)  # stays unusable if the clearing below raises
 
         # The expressions of rival_bids, drawn hour-major with rivals in index
         # order as its per-step scalar draws were.
@@ -490,8 +502,7 @@ class ReactiveMarketEnv:
         self._base_profit = profit(base_price, base_qg, me).tolist()
         self._base_payment = (base_price * base_qg).tolist()
         self._bids_b1, self._bids_b2 = b1.tolist(), b2.tolist()
-        self._t = 0
-        return self.base_total + full.values[:self.lead_in]
+        self._seed = seed
 
     def step(self, action: tuple[float, float]) -> EnvStep:
         a1, a2 = float(action[0]), float(action[1])

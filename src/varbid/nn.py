@@ -202,20 +202,16 @@ class Lstm:
         cell    c = f * c_prev + i * g
         hidden  h = o * tanh(c)
     The prediction is w_out . h_last + b_out.
+
+    The gates are stacked: ``w`` is (4u, in + u) and ``b`` is (4u,), with
+    row blocks of u in the order f, i, o, g, so one sigmoid covers the first
+    3u pre-activations and one tanh the last u. Each block's first ``in``
+    columns hold W and its last u columns hold U: W_f is ``w[:u, :in]``,
+    U_i is ``w[u:2u, in:]``, b_g is ``b[3u:]``.
     """
 
-    w_in_f: np.ndarray
-    w_rec_f: np.ndarray
-    b_f: np.ndarray
-    w_in_i: np.ndarray
-    w_rec_i: np.ndarray
-    b_i: np.ndarray
-    w_in_g: np.ndarray
-    w_rec_g: np.ndarray
-    b_g: np.ndarray
-    w_in_o: np.ndarray
-    w_rec_o: np.ndarray
-    b_o: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
     w_out: np.ndarray
     b_out: np.ndarray
 
@@ -224,40 +220,27 @@ class Lstm:
         if input_dim < 1 or units < 1:
             raise ShapeError(f"input_dim and units must be >= 1, got {input_dim}, {units}")
         rng = np.random.default_rng(seed)
-        def gate():
-            return (_glorot(rng, units, input_dim),
-                    _glorot(rng, units, units),
-                    np.zeros(units))
-        wf, uf, bf = gate()
-        wi, ui, bi = gate()
-        wg, ug, bg = gate()
-        wo, uo, bo = gate()
+        # Glorot blocks drawn gate by gate in the order f, i, g, o, W before U.
+        f, i, g, o = [np.hstack([_glorot(rng, units, input_dim), _glorot(rng, units, units)])
+                      for _ in range(4)]
         w_out = _glorot(rng, 1, units)[0]
-        return cls(wf, uf, bf, wi, ui, bi, wg, ug, bg, wo, uo, bo, w_out, np.zeros(1))
+        return cls(np.vstack([f, i, o, g]), np.zeros(4 * units), w_out, np.zeros(1))
 
     @classmethod
     def zeros(cls, input_dim: int, units: int) -> "Lstm":
-        z = lambda *s: np.zeros(s)
-        return cls(z(units, input_dim), z(units, units), z(units),
-                   z(units, input_dim), z(units, units), z(units),
-                   z(units, input_dim), z(units, units), z(units),
-                   z(units, input_dim), z(units, units), z(units),
-                   z(units), z(1))
+        return cls(np.zeros((4 * units, input_dim + units)), np.zeros(4 * units),
+                   np.zeros(units), np.zeros(1))
 
     @property
     def units(self) -> int:
-        return self.w_rec_f.shape[0]
+        return self.w_out.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.w_in_f.shape[1]
+        return self.w.shape[1] - self.units
 
     def params(self) -> list[np.ndarray]:
-        return [self.w_in_f, self.w_rec_f, self.b_f,
-                self.w_in_i, self.w_rec_i, self.b_i,
-                self.w_in_g, self.w_rec_g, self.b_g,
-                self.w_in_o, self.w_rec_o, self.b_o,
-                self.w_out, self.b_out]
+        return [self.w, self.b, self.w_out, self.b_out]
 
     def copy(self) -> "Lstm":
         return Lstm(*[p.copy() for p in self.params()])
@@ -279,38 +262,41 @@ class Lstm:
         seq = np.asarray(sequence, dtype=float)
         if seq.ndim == 1:
             seq = seq[:, None]
-        preds, cache = self._forward_batch_cache(seq[None, :, :])
-        return cache["h"][-1][0], float(preds[0])
+        h = self._hidden(self._coerce_batch(seq[None, :, :]))
+        return h[0], float(self._head(h)[0])
 
     def forward_batch(self, sequences: np.ndarray) -> np.ndarray:
         """Predictions for a (batch, steps[, input_dim]) array of sequences."""
-        preds, _ = self._forward_batch_cache(self._coerce_batch(sequences))
-        return preds
+        return self._head(self._hidden(self._coerce_batch(sequences)))
 
     def _forward_batch_cache(self, x: np.ndarray):
+        """Predictions plus the per-step values that BPTT reads."""
         x = self._coerce_batch(x)
-        n, steps, _ = x.shape
-        units = self.units
-        h = np.zeros((n, units))
-        c = np.zeros((n, units))
-        cache = {"x": x, "f": [], "i": [], "g": [], "o": [],
-                 "c": [], "h": [], "h_prev": [], "c_prev": [], "tanh_c": []}
+        per_step: list = []
+        h = self._hidden(x, per_step)
+        return self._head(h), (x, h, per_step)
+
+    def _head(self, h: np.ndarray) -> np.ndarray:
+        return h @ self.w_out + self.b_out[0]
+
+    def _hidden(self, x: np.ndarray, per_step: list | None = None) -> np.ndarray:
+        """Final hidden state; appends (h_prev, c_prev, [f i o], g, tanh c) to per_step."""
+        n, steps, d = x.shape
+        u = self.units
+        w_in, w_rec = self.w[:, :d].T, self.w[:, d:].T
+        h = np.zeros((n, u))
+        c = np.zeros((n, u))
         for t in range(steps):
-            xt = x[:, t, :]
-            cache["h_prev"].append(h)
-            cache["c_prev"].append(c)
-            f = _sigmoid(xt @ self.w_in_f.T + h @ self.w_rec_f.T + self.b_f)
-            i = _sigmoid(xt @ self.w_in_i.T + h @ self.w_rec_i.T + self.b_i)
-            g = np.tanh(xt @ self.w_in_g.T + h @ self.w_rec_g.T + self.b_g)
-            o = _sigmoid(xt @ self.w_in_o.T + h @ self.w_rec_o.T + self.b_o)
-            c = f * c + i * g
+            z = x[:, t] @ w_in + h @ w_rec + self.b
+            s = _sigmoid(z[:, :3 * u])
+            g = np.tanh(z[:, 3 * u:])
+            h_prev, c_prev = h, c
+            c = s[:, :u] * c + s[:, u:2 * u] * g
             tc = np.tanh(c)
-            h = o * tc
-            for key, val in (("f", f), ("i", i), ("g", g), ("o", o),
-                             ("c", c), ("h", h), ("tanh_c", tc)):
-                cache[key].append(val)
-        preds = h @ self.w_out + self.b_out[0]
-        return preds, cache
+            h = s[:, 2 * u:] * tc
+            if per_step is not None:
+                per_step.append((h_prev, c_prev, s, g, tc))
+        return h
 
     # -- backward -----------------------------------------------------------
 
@@ -323,51 +309,30 @@ class Lstm:
         return self._backward_from_cache(cache, np.array([float(loss_gradient)]))
 
     def _backward_from_cache(self, cache, dy: np.ndarray) -> list[np.ndarray]:
-        x = cache["x"]
-        steps = x.shape[1]
-        grads = [np.zeros_like(p) for p in self.params()]
-        (dwf, duf, dbf, dwi, dui, dbi, dwg, dug, dbg,
-         dwo, duo, dbo, dw_out, db_out) = grads
-
-        h_last = cache["h"][-1]
-        dw_out += dy @ h_last
-        db_out += dy.sum(keepdims=True)
+        x, h_last, per_step = cache
+        n, steps, d = x.shape
+        u = self.units
+        w_rec = self.w[:, d:]
+        dz = np.empty((steps, n, 4 * u))  # pre-activation gradients, gates f, i, o, g
         dh = dy[:, None] * self.w_out[None, :]
         dc = np.zeros_like(dh)
         for t in range(steps - 1, -1, -1):
-            f, i, g, o = cache["f"][t], cache["i"][t], cache["g"][t], cache["o"][t]
-            tc = cache["tanh_c"][t]
-            h_prev, c_prev = cache["h_prev"][t], cache["c_prev"][t]
-            xt = x[:, t, :]
-
-            do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
-            df = dc * c_prev
-            di = dc * g
-            dg = dc * i
-
-            df_pre = df * f * (1.0 - f)
-            di_pre = di * i * (1.0 - i)
-            dg_pre = dg * (1.0 - g * g)
-            do_pre = do * o * (1.0 - o)
-
-            dwf += df_pre.T @ xt
-            duf += df_pre.T @ h_prev
-            dbf += df_pre.sum(axis=0)
-            dwi += di_pre.T @ xt
-            dui += di_pre.T @ h_prev
-            dbi += di_pre.sum(axis=0)
-            dwg += dg_pre.T @ xt
-            dug += dg_pre.T @ h_prev
-            dbg += dg_pre.sum(axis=0)
-            dwo += do_pre.T @ xt
-            duo += do_pre.T @ h_prev
-            dbo += do_pre.sum(axis=0)
-
-            dh = (df_pre @ self.w_rec_f + di_pre @ self.w_rec_i
-                  + dg_pre @ self.w_rec_g + do_pre @ self.w_rec_o)
-            dc = dc * f
-        return grads
+            h_prev, c_prev, s, g, tc = per_step[t]
+            dc = dc + dh * s[:, 2 * u:] * (1.0 - tc * tc)
+            dzt = dz[t]
+            dzt[:, :u] = dc * c_prev
+            dzt[:, u:2 * u] = dc * g
+            dzt[:, 2 * u:3 * u] = dh * tc
+            dzt[:, :3 * u] *= s
+            dzt[:, :3 * u] *= 1.0 - s
+            dzt[:, 3 * u:] = dc * s[:, u:2 * u] * (1.0 - g * g)
+            dh = dzt @ w_rec
+            dc = dc * s[:, :u]
+        # Each weight row sees [x_t, h_prev] over every (step, row) pair.
+        xh = np.concatenate([x.transpose(1, 0, 2), np.stack([p[0] for p in per_step])], axis=2)
+        dz = dz.reshape(steps * n, 4 * u)
+        return [dz.T @ xh.reshape(steps * n, d + u), dz.sum(axis=0),
+                dy @ h_last, dy.sum(keepdims=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from varbid.forecast import (Forecaster, baseline_predict, holdout_mse,
                              train_forecaster, train_lstm, load_series_csv,
                              save_series_csv)
 from varbid.market import DemandConfig, demand_profile, simulate_total_quantity
-from varbid.nn import Lstm
+from varbid.nn import Lstm, ShapeError
 
 
 class TestMakeDataset:
@@ -113,6 +115,16 @@ class TestPersistence:
         loaded = load_forecaster(str(path))
         window = series[-24:]
         assert loaded.predict(window) == fc.predict(window)
+
+    def test_per_gate_checkpoint_rejected_with_layout(self, tmp_path):
+        # A forecaster saved before stacked gates: (W, U, b) for f, i, g, o, then the head.
+        u = 4
+        arrays = [[0.1] * n for n in (u, u * u, u) * 4] + [[0.1] * u, [0.1]]
+        path = tmp_path / "fc.json"
+        path.write_text(json.dumps({"kind": "forecaster", "lo": 0.0, "hi": 1.0, "units": u,
+                                    "input_dim": 1, "arrays": arrays}))
+        with pytest.raises(ShapeError, match=r"array 0 has 4 values, expected 80.*4u"):
+            load_forecaster(str(path))
 
     def test_series_csv_round_trip(self, tmp_path):
         series = demand_profile(60, seed=1).values

@@ -367,6 +367,52 @@ class TestEnvMatchesReference:
         assert err.value.max_deliverable == pytest.approx(0.1)
         with pytest.raises(RuntimeError):
             env.step((1.0, 1.0))
+        with pytest.raises(InfeasibleDemand):
+            env.reset(0)
+
+
+def _episode(env, seed, actions):
+    lead = env.reset(seed)
+    steps = [env.step(a) for a in actions]
+    return lead, [(s.reward, s.done, s.outcome, s.info) for s in steps]
+
+
+def _assert_same_episode(a, b):
+    assert np.array_equal(a[0], b[0])
+    assert len(a[1]) == len(b[1])
+    for (ra, da, oa, ia), (rb, db, ob, ib) in zip(a[1], b[1]):
+        assert ra == rb and da == db
+        assert np.array_equal(oa.qg, ob.qg) and np.array_equal(oa.prices, ob.prices)
+        assert oa.shadow_price == ob.shadow_price
+        assert ia.keys() == ib.keys()
+        for key in ia:
+            assert np.array_equal(ia[key], ib[key]), key
+
+
+class TestResetKeepsLastSeed:
+    ACTIONS = [(1.0 + 0.5 * (t % 9), 5.0 - 0.5 * (t % 5)) for t in range(48)]
+
+    @pytest.mark.parametrize("strategy", ["b1", "b2"])
+    def test_returning_seed_steps_like_a_fresh_env(self, strategy):
+        make = lambda: ReactiveMarketEnv(learner=2, rival_strategy=strategy, episode_steps=48)
+        env = make()
+        first = _episode(env, 4, self.ACTIONS)
+        _episode(env, 9, self.ACTIONS[:10])
+        again = _episode(env, 4, self.ACTIONS)
+        _assert_same_episode(again, _episode(make(), 4, self.ACTIONS))
+        _assert_same_episode(first, again)
+
+    def test_infeasible_seed_raises_on_every_reset_and_keeps_nothing(self):
+        # Total capacity 0.628 lies between seed 1's peak (0.623) and seed 0's (0.634).
+        short = (GencoParams(1, 0.7, 0.3, 0.0, 0.314), GencoParams(2, 0.6, 0.4, 0.0, 0.314))
+        make = lambda: ReactiveMarketEnv(gencos=short, learner=0, episode_steps=48)
+        env = make()
+        _episode(env, 1, self.ACTIONS[:5])
+        for _ in range(2):
+            with pytest.raises(InfeasibleDemand):
+                env.reset(0)
+            assert env.step((1.0, 1.0)).info.get("exhausted")
+        _assert_same_episode(_episode(env, 1, self.ACTIONS), _episode(make(), 1, self.ACTIONS))
 
 
 class TestGencoTable:

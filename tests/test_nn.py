@@ -142,7 +142,80 @@ class TestSigmoid:
         assert np.array_equal(np.signbit(got), np.signbit(masked(x)))
 
 
+# Row blocks of the stacked gate weight, in layout order.
+F, I, O, G = range(4)
+
+
+def gate(k: int, units: int) -> slice:
+    return slice(k * units, (k + 1) * units)
+
+
+def per_gate_reference(lstm: Lstm, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(final hidden states, predictions) from the docstring equations, gate by gate."""
+    d, u = lstm.input_dim, lstm.units
+    W = {k: lstm.w[gate(k, u), :d] for k in (F, I, O, G)}
+    U = {k: lstm.w[gate(k, u), d:] for k in (F, I, O, G)}
+    b = {k: lstm.b[gate(k, u)] for k in (F, I, O, G)}
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    h = np.zeros((x.shape[0], u))
+    c = np.zeros_like(h)
+    for t in range(x.shape[1]):
+        xt = x[:, t, :]
+        f = sig(xt @ W[F].T + h @ U[F].T + b[F])
+        i = sig(xt @ W[I].T + h @ U[I].T + b[I])
+        g = np.tanh(xt @ W[G].T + h @ U[G].T + b[G])
+        o = sig(xt @ W[O].T + h @ U[O].T + b[O])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    return h, h @ lstm.w_out + lstm.b_out[0]
+
+
 class TestLstm:
+    def test_stacked_layout_holds_four_arrays(self):
+        lstm = Lstm.random(2, 5, seed=0)
+        assert [p.shape for p in lstm.params()] == [(20, 7), (20,), (5,), (1,)]
+        assert (lstm.input_dim, lstm.units) == (2, 5)
+
+    def test_random_stacks_per_gate_draws(self):
+        # Glorot blocks drawn gate by gate (f, i, g, o; W before U), then stacked f, i, o, g.
+        d, u = 2, 3
+        rng = np.random.default_rng(4)
+
+        def glorot(fan_out, fan_in):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+        blocks = {k: np.hstack([glorot(u, d), glorot(u, u)]) for k in (F, I, G, O)}
+        w_out = glorot(1, u)[0]
+        lstm = Lstm.random(d, u, seed=4)
+        assert np.array_equal(lstm.w, np.vstack([blocks[k] for k in (F, I, O, G)]))
+        assert np.array_equal(lstm.w_out, w_out)
+        assert not lstm.b.any() and not lstm.b_out.any()
+
+    @pytest.mark.parametrize("units", [16, 32])
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    def test_stacked_matches_per_gate_reference(self, batch, units):
+        rng = np.random.default_rng(batch * 100 + units)
+        lstm = Lstm.random(1, units, seed=units)
+        lstm.b[:] = rng.normal(scale=0.5, size=4 * units)
+        lstm.b_out[0] = 0.3
+        x = rng.normal(size=(batch, 24, 1))
+        h_ref, pred_ref = per_gate_reference(lstm, x)
+        assert np.abs(lstm.forward_batch(x) - pred_ref).max() <= 1e-14
+        hidden, pred = lstm.forward(x[0])
+        assert np.abs(hidden - h_ref[0]).max() <= 1e-14
+        assert abs(pred - pred_ref[0]) <= 1e-14
+
+    def test_forward_batch_equals_training_path_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        lstm = Lstm.random(1, 16, seed=6)
+        lstm.b[:] = rng.normal(size=64)
+        x = rng.normal(size=(9, 24))
+        assert np.array_equal(lstm.forward_batch(x), lstm._forward_batch_cache(x)[0])
+
     def test_zero_params_predict_head_bias(self):
         lstm = Lstm.zeros(1, 6)
         lstm.b_out[0] = 0.37
@@ -151,12 +224,12 @@ class TestLstm:
 
     def test_hand_computed_single_unit_two_steps(self):
         lstm = Lstm.zeros(1, 1)
-        lstm.w_in_f[0, 0] = 0.5
-        lstm.w_in_i[0, 0] = -0.3
-        lstm.w_in_g[0, 0] = 0.8
-        lstm.w_in_o[0, 0] = 0.2
-        lstm.w_rec_g[0, 0] = 0.6
-        lstm.b_f[0] = 0.1
+        lstm.w[F, 0] = 0.5
+        lstm.w[I, 0] = -0.3
+        lstm.w[G, 0] = 0.8
+        lstm.w[O, 0] = 0.2
+        lstm.w[G, 1] = 0.6
+        lstm.b[F] = 0.1
         lstm.w_out[0] = 2.0
         lstm.b_out[0] = -0.5
 
@@ -184,12 +257,11 @@ class TestLstm:
         # Zero input weights: the cell runs on biases alone from zero state.
         rng = np.random.default_rng(5)
         lstm = Lstm.random(1, 3, seed=8)
-        lstm.w_in_f[:] = 0.0
-        lstm.w_in_i[:] = 0.0
-        lstm.w_in_g[:] = 0.0
-        lstm.w_in_o[:] = 0.0
-        for b in (lstm.b_f, lstm.b_i, lstm.b_g, lstm.b_o):
-            b[:] = rng.normal(size=3)
+        lstm.w[:, 0] = 0.0
+        for k in (F, I, G, O):
+            lstm.b[gate(k, 3)] = rng.normal(size=3)
+        rec = {k: lstm.w[gate(k, 3), 1:] for k in (F, I, G, O)}
+        bias = {k: lstm.b[gate(k, 3)] for k in (F, I, G, O)}
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -197,10 +269,10 @@ class TestLstm:
         h = np.zeros(3)
         c = np.zeros(3)
         for _ in range(4):
-            f = sig(lstm.w_rec_f @ h + lstm.b_f)
-            i = sig(lstm.w_rec_i @ h + lstm.b_i)
-            g = np.tanh(lstm.w_rec_g @ h + lstm.b_g)
-            o = sig(lstm.w_rec_o @ h + lstm.b_o)
+            f = sig(rec[F] @ h + bias[F])
+            i = sig(rec[I] @ h + bias[I])
+            g = np.tanh(rec[G] @ h + bias[G])
+            o = sig(rec[O] @ h + bias[O])
             c = f * c + i * g
             h = o * np.tanh(c)
         expected = float(lstm.w_out @ h + lstm.b_out[0])
@@ -216,9 +288,9 @@ class TestLstm:
     def test_single_step_gradient_matches_hand_computation(self):
         # One unit, one step: prediction = w_out * o * tanh(i * g) + b_out.
         lstm = Lstm.zeros(1, 1)
-        lstm.w_in_i[0, 0] = 0.4
-        lstm.w_in_g[0, 0] = 0.7
-        lstm.w_in_o[0, 0] = -0.2
+        lstm.w[I, 0] = 0.4
+        lstm.w[G, 0] = 0.7
+        lstm.w[O, 0] = -0.2
         lstm.w_out[0] = 1.5
         x = 0.9
 
@@ -230,17 +302,13 @@ class TestLstm:
         o = sig(-0.2 * x)
         c = i * g
         tc = np.tanh(c)
-        grads = lstm.backward(np.array([x]), 1.0)
-        names = ["w_in_f", "w_rec_f", "b_f", "w_in_i", "w_rec_i", "b_i",
-                 "w_in_g", "w_rec_g", "b_g", "w_in_o", "w_rec_o", "b_o",
-                 "w_out", "b_out"]
-        got = dict(zip(names, grads))
-        assert got["w_out"][0] == pytest.approx(o * tc, abs=1e-12)
-        assert got["b_out"][0] == pytest.approx(1.0, abs=1e-12)
-        # d pred / d w_in_o = 1.5 * tc * o(1-o) * x
-        assert got["w_in_o"][0, 0] == pytest.approx(1.5 * tc * o * (1 - o) * x, abs=1e-12)
-        # d pred / d w_in_i = 1.5 * o (1-tc^2) * g * i(1-i) * x
-        assert got["w_in_i"][0, 0] == pytest.approx(
+        dw, _, dw_out, db_out = lstm.backward(np.array([x]), 1.0)
+        assert dw_out[0] == pytest.approx(o * tc, abs=1e-12)
+        assert db_out[0] == pytest.approx(1.0, abs=1e-12)
+        # d pred / d W_o = 1.5 * tc * o(1-o) * x
+        assert dw[O, 0] == pytest.approx(1.5 * tc * o * (1 - o) * x, abs=1e-12)
+        # d pred / d W_i = 1.5 * o (1-tc^2) * g * i(1-i) * x
+        assert dw[I, 0] == pytest.approx(
             1.5 * o * (1 - tc**2) * g * i * (1 - i) * x, abs=1e-12)
 
     def test_bptt_matches_finite_differences(self):
@@ -381,6 +449,16 @@ class TestSerialization:
         loaded = load_network(str(path))
         seq = np.linspace(-1, 1, 8)
         assert loaded.forward(seq)[1] == lstm.forward(seq)[1]
+
+    def test_per_gate_lstm_blob_rejected(self, tmp_path):
+        # The layout before stacked gates: (W, U, b) for f, i, g, o, then the head.
+        u = 3
+        arrays = [[0.0] * n for n in (u, u * u, u) * 4] + [[0.0] * u, [0.0]]
+        path = tmp_path / "lstm.json"
+        path.write_text(json.dumps({"kind": "lstm", "input_dim": 1, "units": u,
+                                    "arrays": arrays}))
+        with pytest.raises(ShapeError):
+            load_network(str(path))
 
     def test_header_is_inspectable_json(self, tmp_path):
         net = Mlp.random([3, 2], seed=0)
