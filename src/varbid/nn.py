@@ -215,6 +215,14 @@ class Lstm:
     w_out: np.ndarray
     b_out: np.ndarray
 
+    def __post_init__(self):
+        u = self.w_out.shape[0] if self.w_out.ndim == 1 else 0
+        if (u < 1 or self.w.ndim != 2 or self.w.shape[0] != 4 * u or self.w.shape[1] <= u
+                or self.b.shape != (4 * u,) or self.b_out.shape != (1,)):
+            raise ShapeError(
+                f"w {self.w.shape}, b {self.b.shape}, w_out {self.w_out.shape}, b_out "
+                f"{self.b_out.shape} do not fit [w (4u, in + u), b (4u), w_out (u), b_out (1)]")
+
     @classmethod
     def random(cls, input_dim: int, units: int, seed: int) -> "Lstm":
         if input_dim < 1 or units < 1:
@@ -317,7 +325,7 @@ class Lstm:
         dh = dy[:, None] * self.w_out[None, :]
         dc = np.zeros_like(dh)
         for t in range(steps - 1, -1, -1):
-            h_prev, c_prev, s, g, tc = per_step[t]
+            _, c_prev, s, g, tc = per_step[t]
             dc = dc + dh * s[:, 2 * u:] * (1.0 - tc * tc)
             dzt = dz[t]
             dzt[:, :u] = dc * c_prev

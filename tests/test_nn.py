@@ -179,6 +179,16 @@ class TestLstm:
         assert [p.shape for p in lstm.params()] == [(20, 7), (20,), (5,), (1,)]
         assert (lstm.input_dim, lstm.units) == (2, 5)
 
+    @pytest.mark.parametrize("shapes", [
+        [(8, 3), (8,), (3,), (1,)],    # w has no input columns for 3 units
+        [(12, 4), (12,), (2,), (1,)],  # w rows are not 4 * units
+        [(8, 3), (4,), (2,), (1,)],    # short gate bias
+        [(8, 3), (8,), (2,), (2,)],    # two head biases
+    ])
+    def test_inconsistent_arrays_rejected(self, shapes):
+        with pytest.raises(ShapeError):
+            Lstm(*[np.zeros(s) for s in shapes])
+
     def test_random_stacks_per_gate_draws(self):
         # Glorot blocks drawn gate by gate (f, i, g, o; W before U), then stacked f, i, o, g.
         d, u = 2, 3
