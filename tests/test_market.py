@@ -396,11 +396,9 @@ class TestResetKeepsLastSeed:
     def test_returning_seed_steps_like_a_fresh_env(self, strategy):
         make = lambda: ReactiveMarketEnv(learner=2, rival_strategy=strategy, episode_steps=48)
         env = make()
-        first = _episode(env, 4, self.ACTIONS)
+        _episode(env, 4, self.ACTIONS)
         _episode(env, 9, self.ACTIONS[:10])
-        again = _episode(env, 4, self.ACTIONS)
-        _assert_same_episode(again, _episode(make(), 4, self.ACTIONS))
-        _assert_same_episode(first, again)
+        _assert_same_episode(_episode(env, 4, self.ACTIONS), _episode(make(), 4, self.ACTIONS))
 
     def test_infeasible_seed_raises_on_every_reset_and_keeps_nothing(self):
         # Total capacity 0.628 lies between seed 1's peak (0.623) and seed 0's (0.634).
