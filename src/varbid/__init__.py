@@ -19,7 +19,7 @@ from .harness import (ConfigError, ExperimentConfig, build_config, emit_trace,
 from .market import (Bid, DEFAULT_GENCOS, DemandConfig, DemandSeries, GencoParams,
                      InfeasibleDemand, MarketOutcome, ReactiveMarketEnv, clear_market,
                      clear_market_batch, demand_profile, load_gencos, profit,
-                     rival_bids, simulate_total_quantity)
+                     simulate_total_quantity)
 from .nn import (Adam, Lstm, Mlp, NumericError, Rprop, ShapeError, grad_check,
                  load_network, save_network, soft_update)
 from .replay import Experience, ReplayBuffer

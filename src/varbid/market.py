@@ -4,16 +4,19 @@ Producers submit two-part bids (b1 $/unit operation cost, b2 $/unit^2 lost
 opportunity cost; one unit = 100 MVAr). The operator allocates incremental
 quantities x_i in [0, q_max_i] that meet the hourly requirement D at
 minimum claimed cost sum_i b1_i x_i + b2_i x_i^2. The allocation solves the
-shared-marginal-cost condition by bisection on the shadow price lambda with
-x_i(lambda) = clip((lambda - b1_i) / (2 b2_i), 0, q_max_i); each producer
-is paid its own marginal bid cost at the dispatched quantity (nodal price),
-which equals lambda for strictly interior units.
+shared-marginal-cost condition exactly: the supply
+x_i(lambda) = clip((lambda - b1_i) / (2 b2_i), 0, q_max_i) is piecewise
+linear in the shadow price lambda, so a walk over its breakpoints finds
+lambda in closed form. Each producer is paid its own marginal bid cost at
+the dispatched quantity (nodal price), which equals lambda for strictly
+interior units.
 
 The environment pits one learning producer against rivals following either
-a demand-scaled markup rule (strategy "b1") or truthful cost bidding
-("b2"). Rewards are profits relative to a truthful-bid counterfactual
-cleared against identical rival bids and demand, so the neutral action
-(1, 1) earns exactly zero.
+a demand-scaled markup rule (strategy "b1": (2 d c1, 5 d c2) with
+d = clip(d_norm + U(-0.05, 0.05), 0, 1)) or truthful cost bidding ("b2").
+Rewards are profits relative to a truthful-bid counterfactual cleared
+against identical rival bids and demand, so the neutral action (1, 1)
+earns exactly zero.
 """
 
 from __future__ import annotations
@@ -109,101 +112,65 @@ class MarketOutcome:
 # Dispatch solver
 # ---------------------------------------------------------------------------
 
-_BISECT_ITERS = 60
-
-
 def _solve_dispatch(b1, b2, qmax, demand):
-    """Allocate incremental quantities by bisection on the shadow price.
+    """Exact dispatch by a walk over the supply curve's breakpoints.
 
-    Plain-float scalar path: called once per environment step, so it avoids
-    numpy overhead. Sums run over producers in index order, which
-    ``clear_market_batch`` mirrors. Returns (x list, lambda).
+    Supply is piecewise linear in the shadow price lambda, with breakpoints
+    b1_i and b1_i + 2 b2_i q_max_i; a zero-curvature bid is a vertical step
+    of q_max_i at its b1_i. The walk visits the breakpoints in ascending
+    order and keeps the capacity of the full units and the slope of the
+    interior ones, so the first segment on which supply reaches the
+    requirement gives lambda in closed form (Helgason, Kennington & Lall
+    1980). The running sums are only added to: when a unit fills up, slope
+    and offset are summed afresh over the units still interior, so a steep
+    unit leaving does not cancel into the rest. Units priced at lambda take
+    what is left, smallest b2 first and clipped to [0, q_max]: the steps at
+    lambda fill in index order, and the curved units absorb the rounding
+    residual, which one ulp of lambda makes large for a tiny b2. Plain
+    floats: this runs once per environment step. Returns (x list, lambda).
     """
     n = len(b1)
-    data = tuple(zip(b1, b2, qmax))
-    lo = min(b1)
-    hi = lo
-    for bb, cc, qq in data:
-        m = bb + 2.0 * cc * qq
-        if m > hi:
-            hi = m
-    hi += 1.0  # strictly above every marginal cost: full capacity at hi
-    for _ in range(_BISECT_ITERS):
-        lam = 0.5 * (lo + hi)
-        total = 0.0
-        for bb, cc, qq in data:
-            if cc > 0.0:
-                xi = (lam - bb) / (cc + cc)
-                if xi > 0.0:
-                    total += qq if xi > qq else xi
-            elif lam >= bb:
-                total += qq
-        if total < demand:
-            lo = lam
-        else:
-            hi = lam
-    lam = 0.5 * (lo + hi)
-    gap = max(1e-9, hi - lo)
+    top = [bb + 2.0 * cc * qq for bb, cc, qq in zip(b1, b2, qmax)]
+    points = b1 + top
+    order = sorted(range(2 * n), key=points.__getitem__)
+    full = slope = offset = 0.0  # supply on a segment: full + lam * slope - offset
+    interior = []
+    lower = upper = points[order[0]]
+    for j in order:
+        upper = points[j]
+        if demand - full + offset <= upper * slope:
+            break  # supply reaches the requirement at or below this breakpoint
+        lower = upper
+        if j < n:
+            if b2[j] > 0.0:
+                interior.append(j)
+                w = 0.5 / b2[j]
+                slope += w
+                offset += b1[j] * w
+            else:
+                full += qmax[j]
+        elif b2[j - n] > 0.0:
+            interior.remove(j - n)
+            full += qmax[j - n]
+            slope = sum(0.5 / b2[i] for i in interior)
+            offset = sum(b1[i] * (0.5 / b2[i]) for i in interior)
+    lam = lower
+    if slope > 0.0:
+        lam = min(max((demand - full + offset) / slope, lower), upper)
 
-    # Zero-curvature units are step functions of the price: classify them at
-    # the converged price (full below it, idle above it, marginal inside the
-    # bisection gap). Marginal ones are filled with whatever the priced-in
-    # units leave over, which is the allocation the shared-marginal-cost
-    # condition prescribes at the jump.
     x = [0.0] * n
-    marginal = []
-    fixed_total = 0.0
-    for k, (bb, cc, qq) in enumerate(data):
-        if cc == 0.0:
-            if bb < lam - gap:
-                x[k] = qq
-                fixed_total += qq
-            elif bb <= lam + gap:
-                marginal.append(k)
-
-    def fill_curved(price):
-        total = 0.0
-        slope = 0.0
-        for k, (bb, cc, qq) in enumerate(data):
-            if cc > 0.0:
-                xi = (price - bb) / (cc + cc)
-                if xi <= 0.0:
-                    xi = 0.0
-                elif xi >= qq:
-                    xi = qq
-                else:
-                    slope += 0.5 / cc
-                x[k] = xi
-                total += xi
-        return total, slope
-
-    curved_total, slope = fill_curved(lam)
-    residual = demand - fixed_total - curved_total
-    for k in marginal:
-        if residual <= 1e-15:
-            break
-        take = qmax[k] if qmax[k] < residual else residual
-        x[k] = take
-        residual -= take
-    # Exact balance repair along strictly interior curved units.
-    for _ in range(3):
-        if -1e-12 <= residual <= 1e-12 or slope <= 0.0:
-            break
-        lam += residual / slope
-        curved_total, slope = fill_curved(lam)
-        residual = demand - fixed_total - curved_total - sum(x[k] for k in marginal)
-    if residual < -1e-12 or residual > 1e-12:
-        # One ulp of lambda moves a unit of tiny curvature by more than the
-        # residual. Hand the residual to the curved units priced at lambda
-        # that can move its way, in proportion to their slopes, as the price
-        # move lambda cannot resolve would.
-        movers = [k for k, (bb, cc, qq) in enumerate(data)
-                  if cc > 0.0 and bb <= lam + gap and bb + 2.0 * cc * qq >= lam - gap
-                  and (x[k] < qq if residual > 0.0 else x[k] > 0.0)]
-        share = sum(0.5 / b2[k] for k in movers)
-        for k in movers:
-            xi = x[k] + residual * (0.5 / b2[k] / share)
-            x[k] = min(max(xi, 0.0), qmax[k])
+    for i, (bb, cc, qq, tt) in enumerate(zip(b1, b2, qmax, top)):
+        if lam > bb:
+            x[i] = qq if lam >= tt else min((lam - bb) / (cc + cc), qq)
+    residual = demand - sum(x)
+    if residual:
+        for i in sorted((i for i in range(n) if b1[i] <= lam <= top[i]), key=b2.__getitem__):
+            xi = x[i] + residual
+            if 0.0 <= xi <= qmax[i]:
+                x[i] = xi
+                break
+            x[i] = 0.0 if xi < 0.0 else qmax[i]
+            residual = xi - x[i]
     return x, lam
 
 
@@ -226,37 +193,18 @@ def clear_market(bids, demand: float, gencos) -> MarketOutcome:
 
 def _clear(gencos, qmax, b1, b2, demand: float) -> MarketOutcome:
     """Clear one feasible hour from plain-float bid lists."""
-    if demand == 0.0:
-        x = [0.0] * len(gencos)
-        lam = min(b1)
-    else:
-        x, lam = _solve_dispatch(b1, b2, qmax, demand)
+    x, lam = _solve_dispatch(b1, b2, qmax, demand)
     qg = np.array([g.bg + xi for g, xi in zip(gencos, x)])
     prices = np.array([b1i + 2.0 * b2i * xi for b1i, b2i, xi in zip(b1, b2, x)])
     return MarketOutcome(qg=qg, prices=prices, shadow_price=lam, demand=demand)
 
 
-def _sum_columns(a: np.ndarray) -> np.ndarray:
-    """Row sums of a (T, n) array added column by column, in producer order.
-
-    This is the scalar solver's order; ``a.sum(axis=1)`` switches to
-    pairwise summation from 8 columns on and then differs in the last bit.
-    """
-    total = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        total += a[:, j]
-    return total
-
-
 def clear_market_batch(b1: np.ndarray, b2: np.ndarray, qmax: np.ndarray,
                        demand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized dispatch for (T, n) bid arrays; returns (x (T, n), lambda (T,)).
+    """Dispatch for (T, n) bid arrays; returns (x (T, n), lambda (T,)).
 
-    Rows with purely quadratic bids run a vectorized bisection; rows holding
-    any zero-curvature bid fall back to the scalar solver, which handles the
-    step allocations those bids produce. Every row sum (supply in the
-    bisection, residual, repair slope) adds producers in index order as the
-    scalar solver does, so each row's x equals ``clear_market``'s bit for bit.
+    Each row goes through the scalar solver on plain floats, so it equals
+    ``clear_market`` bit for bit.
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
@@ -270,46 +218,11 @@ def clear_market_batch(b1: np.ndarray, b2: np.ndarray, qmax: np.ndarray,
     if np.any(bad):
         t = int(np.argmax(bad))
         raise InfeasibleDemand(float(demand[t]), float(total_cap[t]))
-    flat_rows = np.nonzero((b2 <= 0.0).any(axis=1))[0]
-
-    safe_b2 = np.where(b2 > 0.0, b2, 1.0)
-    lo = b1.min(axis=1)
-    hi = np.maximum((b1 + 2.0 * b2 * cap).max(axis=1), lo) + 1.0
-
-    def alloc(lam):
-        return np.clip((lam[:, None] - b1) / (2.0 * safe_b2), 0.0, cap)
-
-    for _ in range(_BISECT_ITERS):
-        lam = 0.5 * (lo + hi)
-        low = _sum_columns(alloc(lam)) < demand
-        lo = np.where(low, lam, lo)
-        hi = np.where(low, hi, lam)
-    lam = 0.5 * (lo + hi)
-    gap = np.maximum(1e-9, hi - lo)[:, None]
-    x = alloc(lam)
-    for _ in range(3):
-        residual = demand - _sum_columns(x)
-        interior = (b2 > 0.0) & (x > 0.0) & (x < cap)
-        slope = _sum_columns(np.where(interior, 0.5 / safe_b2, 0.0))
-        move = (np.abs(residual) > 1e-12) & (slope > 0.0)
-        if not np.any(move):
-            break
-        lam = np.where(move, lam + residual / np.where(slope > 0.0, slope, 1.0), lam)
-        x = alloc(lam)
-    residual = (demand - _sum_columns(x))[:, None]
-    stuck = np.abs(residual) > 1e-12
-    if np.any(stuck):  # the scalar solver's residual hand-over
-        movers = (stuck & (b2 > 0.0) & (b1 <= lam[:, None] + gap)
-                  & (b1 + 2.0 * b2 * cap >= lam[:, None] - gap)
-                  & np.where(residual > 0.0, x < cap, x > 0.0))
-        share = _sum_columns(np.where(movers, 0.5 / safe_b2, 0.0))[:, None]
-        moved = x + residual * (0.5 / safe_b2 / np.where(share > 0.0, share, 1.0))
-        x = np.where(movers, np.clip(moved, 0.0, cap), x)
-    for t in flat_rows:
-        xs, ls = _solve_dispatch(list(b1[t]), list(b2[t]), list(cap[t]), float(demand[t]))
-        x[t] = xs
-        lam[t] = ls
-    x[demand == 0.0] = 0.0
+    x = np.empty((T, n))
+    lam = np.empty(T)
+    for t in range(T):  # one row of floats at a time keeps the peak small
+        x[t], lam[t] = _solve_dispatch(b1[t].tolist(), b2[t].tolist(), cap[t].tolist(),
+                                       float(demand[t]))
     return x, lam
 
 
@@ -374,29 +287,6 @@ def demand_profile(episode_steps: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Rival bidding
-# ---------------------------------------------------------------------------
-
-def rival_bids(strategy: str, genco: GencoParams, d_norm: float,
-               rng: np.random.Generator) -> Bid:
-    """Bid for a non-learning producer.
-
-    "b1": markup scaled by a noisy view of normalized demand,
-          (2 d c1, 5 d c2) with d = clip(d_norm + U(-0.05, 0.05), 0, 1).
-    "b2": truthful (c1, c2).
-    """
-    if not 0.0 <= d_norm <= 1.0:
-        raise ValueError(f"d_norm must be in [0, 1], got {d_norm}")
-    if strategy == "b2":
-        return Bid(genco.c1, genco.c2)
-    if strategy == "b1":
-        d = d_norm + rng.uniform(-B1_NOISE, B1_NOISE)
-        d = min(max(d, 0.0), 1.0)
-        return Bid(2.0 * d * genco.c1, 5.0 * d * genco.c2)
-    raise ValueError(f"unknown rival strategy {strategy!r}")
-
-
-# ---------------------------------------------------------------------------
 # Environment
 # ---------------------------------------------------------------------------
 
@@ -424,8 +314,8 @@ class ReactiveMarketEnv:
     Each step takes the learner's bid magnifications (a1, a2) in [1, 5],
     puts its bid (a1 c1, a2 c2) into the hour's rival bids, clears the
     market once and returns the profit difference to the truthful
-    counterfactual as the reward. The batch and scalar solvers agree bit
-    for bit, so the neutral action (1, 1) earns exactly zero.
+    counterfactual as the reward. The batch clearing is a loop of the
+    scalar solver, so the neutral action (1, 1) earns exactly zero.
     """
 
     gencos: tuple = DEFAULT_GENCOS
@@ -480,8 +370,8 @@ class ReactiveMarketEnv:
         self._values = full.values[self.lead_in:]
         self._d_norm = full.normalized[self.lead_in:]
 
-        # The expressions of rival_bids, drawn hour-major with rivals in index
-        # order as its per-step scalar draws were.
+        # Rival noise is drawn hour-major with rivals in index order, as a
+        # per-hour scalar draw for each rival would be.
         k, me = self.learner, self.gencos[self.learner]
         c1 = np.array([g.c1 for g in self.gencos])
         c2 = np.array([g.c2 for g in self.gencos])

@@ -1,6 +1,13 @@
-"""Independent brute-force references used by the test suite only."""
+"""Independent references used by the test suite only.
+
+Brute-force searches, exact value iteration, the bisection dispatch the
+library used before its breakpoint walk, and the per-hour rival bids the
+environment draws as arrays.
+"""
 
 import numpy as np
+
+from varbid.market import B1_NOISE, Bid, GencoParams
 
 
 def grid_dispatch(b1, b2, qmax, demand, step=1e-3):
@@ -61,6 +68,122 @@ def random_dispatch_instance(rng, n=None, step=1e-3):
     raw = rng.uniform(0.05, 0.95) * qmax.sum()
     demand = round(raw / step) * step
     return b1, b2, qmax, demand
+
+
+def bisect_dispatch(b1, b2, qmax, demand):
+    """Allocate incremental quantities by bisection on the shadow price.
+
+    The library's former solver, kept as a reference on another algorithm
+    than its breakpoint walk: 60 bisection steps, zero-curvature units
+    classified within the bisection gap, a Newton repair of the balance
+    along the interior units and a hand-over of what the repair leaves.
+    Needs demand > 0. Returns (x list, lambda).
+    """
+    n = len(b1)
+    data = tuple(zip(b1, b2, qmax))
+    lo = min(b1)
+    hi = lo
+    for bb, cc, qq in data:
+        m = bb + 2.0 * cc * qq
+        if m > hi:
+            hi = m
+    hi += 1.0  # strictly above every marginal cost: full capacity at hi
+    for _ in range(60):
+        lam = 0.5 * (lo + hi)
+        total = 0.0
+        for bb, cc, qq in data:
+            if cc > 0.0:
+                xi = (lam - bb) / (cc + cc)
+                if xi > 0.0:
+                    total += qq if xi > qq else xi
+            elif lam >= bb:
+                total += qq
+        if total < demand:
+            lo = lam
+        else:
+            hi = lam
+    lam = 0.5 * (lo + hi)
+    gap = max(1e-9, hi - lo)
+
+    # Zero-curvature units are step functions of the price: classify them at
+    # the converged price (full below it, idle above it, marginal inside the
+    # bisection gap). Marginal ones are filled with whatever the priced-in
+    # units leave over, which is the allocation the shared-marginal-cost
+    # condition prescribes at the jump.
+    x = [0.0] * n
+    marginal = []
+    fixed_total = 0.0
+    for k, (bb, cc, qq) in enumerate(data):
+        if cc == 0.0:
+            if bb < lam - gap:
+                x[k] = qq
+                fixed_total += qq
+            elif bb <= lam + gap:
+                marginal.append(k)
+
+    def fill_curved(price):
+        total = 0.0
+        slope = 0.0
+        for k, (bb, cc, qq) in enumerate(data):
+            if cc > 0.0:
+                xi = (price - bb) / (cc + cc)
+                if xi <= 0.0:
+                    xi = 0.0
+                elif xi >= qq:
+                    xi = qq
+                else:
+                    slope += 0.5 / cc
+                x[k] = xi
+                total += xi
+        return total, slope
+
+    curved_total, slope = fill_curved(lam)
+    residual = demand - fixed_total - curved_total
+    for k in marginal:
+        if residual <= 1e-15:
+            break
+        take = qmax[k] if qmax[k] < residual else residual
+        x[k] = take
+        residual -= take
+    # Exact balance repair along strictly interior curved units.
+    for _ in range(3):
+        if -1e-12 <= residual <= 1e-12 or slope <= 0.0:
+            break
+        lam += residual / slope
+        curved_total, slope = fill_curved(lam)
+        residual = demand - fixed_total - curved_total - sum(x[k] for k in marginal)
+    if residual < -1e-12 or residual > 1e-12:
+        # One ulp of lambda moves a unit of tiny curvature by more than the
+        # residual. Hand the residual to the curved units priced at lambda
+        # that can move its way, in proportion to their slopes, as the price
+        # move lambda cannot resolve would.
+        movers = [k for k, (bb, cc, qq) in enumerate(data)
+                  if cc > 0.0 and bb <= lam + gap and bb + 2.0 * cc * qq >= lam - gap
+                  and (x[k] < qq if residual > 0.0 else x[k] > 0.0)]
+        share = sum(0.5 / b2[k] for k in movers)
+        for k in movers:
+            xi = x[k] + residual * (0.5 / b2[k] / share)
+            x[k] = min(max(xi, 0.0), qmax[k])
+    return x, lam
+
+
+def rival_bids(strategy: str, genco: GencoParams, d_norm: float,
+               rng: np.random.Generator) -> Bid:
+    """Bid for a non-learning producer, one hour at a time: the env's reference.
+
+    "b1": markup scaled by a noisy view of normalized demand,
+          (2 d c1, 5 d c2) with d = clip(d_norm + U(-0.05, 0.05), 0, 1).
+    "b2": truthful (c1, c2).
+    """
+    if not 0.0 <= d_norm <= 1.0:
+        raise ValueError(f"d_norm must be in [0, 1], got {d_norm}")
+    if strategy == "b2":
+        return Bid(genco.c1, genco.c2)
+    if strategy == "b1":
+        d = d_norm + rng.uniform(-B1_NOISE, B1_NOISE)
+        d = min(max(d, 0.0), 1.0)
+        return Bid(2.0 * d * genco.c1, 5.0 * d * genco.c2)
+    raise ValueError(f"unknown rival strategy {strategy!r}")
 
 
 def value_iteration(rewards, transitions, gamma, sweeps=5000):

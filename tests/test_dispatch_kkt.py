@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from varbid.market import Bid, GencoParams, clear_market, clear_market_batch
 
-# Zero-curvature units are classified within the solver's 1e-9 bisection gap.
+# The breakpoint walk is exact up to rounding, which leaves marginal costs
+# within about 1e-13 of lambda; 1e-9 is headroom, not a solver gap.
 PRICE_TOL = 1e-9
 BALANCE_TOL = 1e-12
 

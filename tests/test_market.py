@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import dispatch_objective, grid_dispatch, random_dispatch_instance
+from oracles import (bisect_dispatch, dispatch_objective, grid_dispatch,
+                     random_dispatch_instance, rival_bids)
 from varbid.market import (DEFAULT_GENCOS, Bid, DemandConfig, GencoParams,
                            InfeasibleDemand, ReactiveMarketEnv, clear_market,
                            clear_market_batch, demand_profile, load_gencos,
-                           profit, rival_bids)
+                           profit)
 
 
 # Nine producers: numpy's row sums switch to pairwise summation from 8
-# columns on, so this table catches a batch solver that sums in another order
-# than the scalar one.
+# columns on, so this table catches a path that sums in another order than
+# the scalar solver.
 NINE_GENCOS = DEFAULT_GENCOS + (
     GencoParams(7, 0.66, 0.45, 0.02500, 0.5),
     GencoParams(8, 0.81, 0.27, 0.01500, 0.5),
@@ -150,6 +151,13 @@ class TestClearMarket:
         assert out.qg[0] == pytest.approx(0.5, abs=1e-9)
         assert out.qg[1] == pytest.approx(0.2, abs=1e-9)
 
+    def test_tied_steps_fill_in_index_order(self):
+        gencos = [GencoParams(i + 1, 1.0, 1.0, 0.0, 0.5) for i in range(4)]
+        bids = [Bid(0.9, 0.5), Bid(0.4, 0.0), Bid(0.4, 0.0), Bid(0.4, 0.0)]
+        out = clear_market(bids, 0.7, gencos)
+        assert out.qg.tolist() == [0.0, 0.5, 0.7 - 0.5, 0.0]
+        assert out.shadow_price == 0.4
+
     def test_interior_prices_equal_shadow_price(self):
         rng = np.random.default_rng(17)
         gencos = DEFAULT_GENCOS
@@ -191,6 +199,30 @@ class TestClearMarket:
             out = clear_market([Bid(a, b) for a, b in zip(b1[t], b2[t])], float(d[t]), gencos)
             xs = out.qg - np.array([g.bg for g in gencos])
             assert np.abs(xb[t] - xs).max() < 1e-8
+
+    @pytest.mark.parametrize("gencos", [DEFAULT_GENCOS, NINE_GENCOS], ids=["six", "nine"])
+    def test_desk_hours_match_bisection_reference(self, gencos):
+        # Hours as the env builds them: b1 rivals on a demand profile, the
+        # learner at a random action, so every b2 lies in the table's range.
+        qmax = [g.q_max for g in gencos]
+        actions = np.random.default_rng(11).uniform(1.0, 5.0, size=(2, 168, 2))
+        for seed, learner in ((0, 1), (1, 4)):
+            series = demand_profile(168 + 24, seed)
+            rng = np.random.default_rng([seed, 1])
+            me = gencos[learner]
+            for t in range(168):
+                bids = [rival_bids("b1", g, float(series.normalized[24 + t]), rng)
+                        for g in gencos]
+                a1, a2 = actions[seed, t]
+                bids[learner] = Bid(a1 * me.c1, a2 * me.c2)
+                demand = float(series.values[24 + t])
+                out = clear_market(bids, demand, gencos)
+                x = out.qg - np.array([g.bg for g in gencos])
+                xr, lam_r = bisect_dispatch([b.b1 for b in bids], [b.b2 for b in bids],
+                                            qmax, demand)
+                assert np.abs(x - xr).max() <= 1e-12
+                if np.any((x > 0.0) & (x < qmax)):
+                    assert abs(out.shadow_price - lam_r) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 6, 8, 12])
     def test_batch_equals_scalar_bit_for_bit(self, n):
