@@ -1,10 +1,10 @@
 """varbid: reactive power market simulation and batch Q-learning bidding.
 
-A numpy library with five parts: a small neural-network engine (``nn``),
+A numpy library of seven modules: a small neural-network engine (``nn``),
 a prioritized replay buffer (``replay``), the hourly market environment
 (``market``), an LSTM requirement forecaster (``forecast``), the fitted-Q
-bidding agent (``agent``), and an experiment harness with a CLI
-(``harness``, ``cli``).
+bidding agent (``agent``), the experiment harness (``harness``) and its
+command line (``cli``).
 """
 
 from .agent import (BiddingTask, EpisodeStats, N_ACTIONS, STATE_DIM, TrainConfig,

@@ -192,9 +192,16 @@ class BiddingTask:
 # Training
 # ---------------------------------------------------------------------------
 
+class ConfigError(ValueError):
+    """A configuration field is missing, unknown, or invalid."""
+
+
 @dataclass
 class TrainConfig:
-    """Learner hyperparameters; defaults follow the reference configuration."""
+    """Learner hyperparameters; defaults follow the reference configuration.
+
+    Checked by ``validate`` on construction; a bad setting raises ConfigError.
+    """
 
     gamma: float = 0.3
     epsilon0: float = 1.0
@@ -219,10 +226,14 @@ class TrainConfig:
     resample_demand: bool = False   # fresh requirement noise every episode
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         checks = [
             (0.0 <= self.gamma < 1.0, "gamma must be in [0, 1)"),
             (0.0 < self.tau <= 1.0, "tau must be in (0, 1]"),
             (self.batch_size >= 1, "batch_size must be >= 1"),
+            (self.buffer_capacity >= 1, "buffer_capacity must be >= 1"),
             (self.warmup_size <= self.buffer_capacity, "warmup_size must be <= buffer_capacity"),
             (self.variant in VARIANTS, f"variant must be one of {VARIANTS}"),
             (self.optimizer in ("adam", "rprop"), "optimizer must be adam or rprop"),
@@ -232,10 +243,13 @@ class TrainConfig:
             (self.episodes >= 1, "episodes must be >= 1"),
             (self.reward_scale > 0, "reward_scale must be positive"),
             (self.learning_rate > 0, "learning_rate must be positive"),
+            (0.0 <= self.per_beta <= 1.0, "per_beta must be in [0, 1]"),
+            (self.per_eps > 0.0, "per_eps must be > 0"),
+            (self.p_init is None or self.p_init > 0.0, "p_init must be > 0 or None"),
         ]
         for ok, message in checks:
             if not ok:
-                raise ValueError(message)
+                raise ConfigError(message)
 
     def hidden(self) -> tuple[int, ...]:
         if self.hidden_sizes:

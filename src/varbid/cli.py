@@ -32,14 +32,12 @@ def _build_config(args) -> harness.ExperimentConfig:
         if value is not None:
             overrides[key] = value
     if getattr(args, "seeds", None):
-        overrides["seeds"] = harness._int_tuple(args.seeds)
+        overrides["seeds"] = harness.parse_field("seeds", args.seeds)
     for item in getattr(args, "extra", []):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, text = (part.strip() for part in item.split("=", 1))
-        if key not in harness._COERCE:
-            raise ConfigError(f"unknown config field {key!r}")
-        overrides[key] = harness._COERCE[key](text)
+        overrides[key] = harness.parse_field(key, text)
     return harness.build_config(file_values, overrides)
 
 

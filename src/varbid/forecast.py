@@ -190,9 +190,3 @@ def save_series_csv(series, path: str) -> None:
         writer.writerow(["t", "total_quantity"])
         for t, v in enumerate(values):
             writer.writerow([t, v])
-
-
-def load_series_csv(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return np.array([float(r["total_quantity"]) for r in rows])

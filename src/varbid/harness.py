@@ -22,16 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import (STREAM_ENV, STREAM_FORECASTER, TrainConfig, BiddingTask,
-                    greedy_episode, train, VARIANTS)
+from .agent import (N_ACTIONS, STREAM_ENV, STREAM_FORECASTER, BiddingTask, ConfigError,
+                    TrainConfig, greedy_episode, train)
 from .forecast import Forecaster, save_forecaster, train_forecaster
 from .market import (DEFAULT_GENCOS, DemandConfig, ReactiveMarketEnv,
                      RIVAL_STRATEGIES, load_gencos, simulate_total_quantity)
 from .nn import NumericError, save_network
-
-
-class ConfigError(ValueError):
-    """A configuration field is missing, unknown, or invalid."""
 
 
 # ---------------------------------------------------------------------------
@@ -51,19 +47,18 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
-def _opt(coerce):
-    return lambda text: None if text.strip().lower() in ("none", "") else coerce(text)
-
-
 @dataclass
-class ExperimentConfig:
-    """One experiment: a (learner, rival strategy, network variant) cell."""
+class ExperimentConfig(TrainConfig):
+    """One experiment: a (learner, rival strategy, network variant) cell.
 
+    The learner settings, their defaults and their checks come from
+    TrainConfig; construction validates, and a bad field raises ConfigError.
+    """
+
+    episodes: int = 300
     learner_id: int = 2
     strategy: str = "b1"
-    variant: str = "nfq2"
     seeds: tuple[int, ...] = (0,)
-    episodes: int = 300
     episode_steps: int = 720
     out_dir: str = "runs/experiment"
     genco_table: str | None = None
@@ -75,26 +70,6 @@ class ExperimentConfig:
     forecaster_batch_size: int = 32
     forecaster_learning_rate: float = 5e-3
     forecaster_series_steps: int = 720
-
-    gamma: float = 0.3
-    epsilon0: float = 1.0
-    epsilon_decay: float = 0.1
-    epsilon_min: float = 0.01
-    tau: float = 1e-3
-    batch_size: int = 64
-    steps_per_iteration: int = 24
-    buffer_capacity: int = 100_000
-    warmup_size: int = 10_000
-    hidden_sizes: tuple[int, ...] | None = None
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    reward_scale: float = 1.0
-    per_beta: float = 0.7
-    per_eps: float = 0.01
-    p_init: float | None = None
-    forced_action_index: int | None = None
-    resample_demand: bool = False
-    max_iterations: int | None = None
 
     peak_units: float = 1.072
     participation: float = 0.6
@@ -109,19 +84,14 @@ class ExperimentConfig:
             raise ConfigError(f"seeds: must be distinct, got {self.seeds}")
         if self.strategy not in RIVAL_STRATEGIES:
             raise ConfigError(f"strategy: must be one of {RIVAL_STRATEGIES}, got {self.strategy!r}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant: must be one of {VARIANTS}, got {self.variant!r}")
         if not 0.0 < self.convergence_window <= 1.0:
             raise ConfigError("convergence_window: must be in (0, 1]")
-        if self.episodes < 1:
-            raise ConfigError("episodes: must be >= 1")
-        gencos = self.gencos()
-        if self.learner_id not in [g.id for g in gencos]:
-            raise ConfigError(f"learner_id: {self.learner_id} not in producer table")
-        try:
-            self.train_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if (self.forced_action_index is not None
+                and not 0 <= self.forced_action_index < N_ACTIONS):
+            raise ConfigError(f"forced_action_index: must be in [0, {N_ACTIONS}), "
+                              f"got {self.forced_action_index}")
+        self.learner_index()  # raises unless learner_id is in the producer table
+        super().validate()
 
     def gencos(self):
         if not self.genco_table:
@@ -143,37 +113,25 @@ class ExperimentConfig:
                             weekly_amplitude=self.weekly_amplitude,
                             noise_amplitude=self.noise_amplitude)
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            gamma=self.gamma, epsilon0=self.epsilon0, epsilon_decay=self.epsilon_decay,
-            epsilon_min=self.epsilon_min, tau=self.tau, batch_size=self.batch_size,
-            steps_per_iteration=self.steps_per_iteration,
-            buffer_capacity=self.buffer_capacity, warmup_size=self.warmup_size,
-            variant=self.variant, hidden_sizes=self.hidden_sizes,
-            optimizer=self.optimizer, learning_rate=self.learning_rate,
-            episodes=self.episodes, max_iterations=self.max_iterations,
-            reward_scale=self.reward_scale, per_beta=self.per_beta, per_eps=self.per_eps,
-            p_init=self.p_init, forced_action_index=self.forced_action_index,
-            resample_demand=self.resample_demand)
+
+# Each field's text parser follows from its annotation: "X" or "X | None".
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
+            "tuple[int, ...]": _int_tuple}
+_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+_NULLABLE = {key for key, t in _TYPES.items() if t.endswith(" | None")}
+SCHEMA = tuple(sorted(_TYPES))
 
 
-_COERCE = {
-    "learner_id": int, "strategy": str, "variant": str, "seeds": _int_tuple,
-    "episodes": int, "episode_steps": int, "out_dir": str, "genco_table": _opt(str),
-    "trace": _bool, "convergence_window": float,
-    "forecaster_units": int, "forecaster_epochs": int, "forecaster_batch_size": int,
-    "forecaster_learning_rate": float, "forecaster_series_steps": int,
-    "gamma": float, "epsilon0": float, "epsilon_decay": float, "epsilon_min": float,
-    "tau": float, "batch_size": int, "steps_per_iteration": int,
-    "buffer_capacity": int, "warmup_size": int, "hidden_sizes": _opt(_int_tuple),
-    "optimizer": str, "learning_rate": float, "reward_scale": float,
-    "per_beta": float, "per_eps": float, "p_init": _opt(float),
-    "forced_action_index": _opt(int), "resample_demand": _bool,
-    "max_iterations": _opt(int),
-    "peak_units": float, "participation": float, "daily_amplitude": float,
-    "weekly_amplitude": float, "noise_amplitude": float,
-}
-SCHEMA = tuple(sorted(_COERCE))
+def parse_field(key: str, text: str):
+    """Parse one field's text value ('none' or '' gives None where allowed)."""
+    if key not in _TYPES:
+        raise ConfigError(f"unknown config field {key!r}")
+    if key in _NULLABLE and text.strip().lower() in ("none", ""):
+        return None
+    try:
+        return _PARSERS[_TYPES[key].removesuffix(" | None")](text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
 def parse_config_file(path: str) -> dict:
@@ -187,12 +145,10 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in _COERCE:
-                raise ConfigError(f"{path}:{lineno}: unknown config field {key!r}")
             try:
-                values[key] = _COERCE[key](text)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+                values[key] = parse_field(key, text)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
@@ -201,14 +157,11 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
     merged = {}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
-            if key not in _COERCE:
+            if key not in _TYPES:
                 raise ConfigError(f"unknown config field {key!r}")
-            if value is not None or key in ("genco_table", "hidden_sizes", "p_init",
-                                            "forced_action_index", "max_iterations"):
+            if value is not None or key in _NULLABLE:
                 merged[key] = value
-    config = ExperimentConfig(**merged)
-    config.validate()
-    return config
+    return ExperimentConfig(**merged)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +261,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                                 demand_config=config.demand_config(),
                                 episode_steps=config.episode_steps)
         task = BiddingTask(env, forecaster, reward_scale=config.reward_scale)
-        result = train(task, config.train_config(), seed)
+        result = train(task, config, seed)
 
         _write_csv(out / f"curve_seed{seed}.csv", CURVE_FIELDS,
                    [(e.episode, e.reward, e.epsilon, e.mean_abs_td, e.baseline_payment)
@@ -350,10 +303,10 @@ def run_matrix(config: ExperimentConfig, learners, strategies, variants) -> dict
     for strategy in strategies:
         for variant in variants:
             for learner in learners:
-                cell = dataclasses.replace(
-                    config, learner_id=learner, strategy=strategy, variant=variant,
-                    out_dir=str(out / f"L{learner}_{strategy}_{variant}"))
                 try:
+                    cell = dataclasses.replace(
+                        config, learner_id=learner, strategy=strategy, variant=variant,
+                        out_dir=str(out / f"L{learner}_{strategy}_{variant}"))
                     summaries[(learner, strategy, variant)] = run_experiment(cell)
                 except Exception as exc:  # cell failure must not stop the matrix
                     errors[(learner, strategy, variant)] = f"{type(exc).__name__}: {exc}"
@@ -386,22 +339,23 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[dict]:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
     if not values:
         raise ConfigError("sweep: need at least one value")
-    for v in values:
-        if parameter == "gamma" and not 0.0 <= v < 1.0:
-            raise ConfigError(f"sweep gamma value {v} outside [0, 1)")
-        if parameter == "batch_size" and (int(v) != v or v < 1):
-            raise ConfigError(f"sweep batch_size value {v} must be a positive integer")
-        if parameter == "epsilon_decay" and not 0.0 <= v <= 1.0:
-            raise ConfigError(f"sweep epsilon_decay value {v} outside [0, 1]")
+    as_int = _TYPES[parameter] == "int"
     out = Path(config.out_dir)
+    cells = []  # every cell is built, and so validated, before the first run
+    for v in values:
+        if as_int and not float(v).is_integer():
+            raise ConfigError(f"sweep {parameter} value {v} must be an integer")
+        try:
+            cells.append(dataclasses.replace(
+                config, learner_id=2, strategy="b1", variant="nfq2",
+                out_dir=str(out / f"sweep_{parameter}" / str(v)),
+                **{parameter: int(v) if as_int else float(v)}))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep {parameter} value {v}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     results = []
-    for v in values:
-        cell = dataclasses.replace(
-            config, learner_id=2, strategy="b1", variant="nfq2",
-            out_dir=str(out / f"sweep_{parameter}" / str(v)),
-            **{parameter: int(v) if parameter == "batch_size" else float(v)})
+    for v, cell in zip(values, cells):
         try:
             summary = run_experiment(cell)
             record = {"value": v, "mu": summary.mu, "sigma": summary.sigma, "diverged": False}

@@ -12,7 +12,6 @@ applied to the loss.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -141,13 +140,3 @@ class ReplayBuffer:
         self._priorities[idx] = priorities
         self._weights[idx] = priorities ** self.beta
         self._max_priority = max(self._max_priority, float(priorities.max()))
-
-    def dump_csv(self, path: str) -> None:
-        """Write one row per stored transition: state, action, reward, priority."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            dim = self.state_dim or 0
-            writer.writerow([f"s{i}" for i in range(dim)] + ["action", "reward", "terminal", "priority"])
-            for i in range(self._size):
-                writer.writerow(list(self.states[i]) + [int(self.actions[i]), float(self.rewards[i]),
-                                                        int(self.terminal[i]), self._priorities[i]])

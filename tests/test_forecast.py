@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,8 +6,7 @@ import pytest
 
 from varbid.forecast import (Forecaster, baseline_predict, holdout_mse,
                              load_forecaster, make_dataset, save_forecaster,
-                             train_forecaster, train_lstm, load_series_csv,
-                             save_series_csv)
+                             train_forecaster, train_lstm, save_series_csv)
 from varbid.market import DemandConfig, demand_profile, simulate_total_quantity
 from varbid.nn import Lstm, ShapeError
 
@@ -130,4 +130,7 @@ class TestPersistence:
         series = demand_profile(60, seed=1).values
         path = tmp_path / "series.csv"
         save_series_csv(series, str(path))
-        assert np.array_equal(load_series_csv(str(path)), series)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["t"]) for r in rows] == list(range(len(series)))
+        assert np.array_equal([float(r["total_quantity"]) for r in rows], series)

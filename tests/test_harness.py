@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from varbid import cli
-from varbid.harness import (ConfigError, ExperimentConfig, build_config, emit_trace,
-                            parse_config_file, run_experiment, run_matrix, sweep)
+from varbid.harness import (SCHEMA, ConfigError, ExperimentConfig, _write_manifest,
+                            build_config, emit_trace, parse_config_file, run_experiment,
+                            run_matrix, sweep)
+from varbid.market import DEFAULT_GENCOS
 
 
 def tiny_kwargs(out_dir, **overrides):
@@ -63,9 +65,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="learner_id"):
             tiny_config(tmp_path, learner_id=9)
 
-    def test_train_field_validation_surfaces(self, tmp_path):
-        with pytest.raises(ConfigError, match="gamma"):
-            tiny_config(tmp_path, gamma=1.5)
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", 1.5), ("per_beta", 2.0), ("per_eps", 0.0), ("p_init", -1.0),
+        ("buffer_capacity", 0), ("forced_action_index", 81)])
+    def test_train_field_validation_surfaces(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key}\b"):
+            tiny_config(tmp_path, **{key: value})
 
     def test_optional_fields_parse_none(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -74,6 +79,28 @@ class TestConfigParsing:
         assert values["hidden_sizes"] is None
         assert values["p_init"] == 2.0
         assert values["max_iterations"] == 50
+
+    def test_manifest_round_trips_every_field(self, tmp_path):
+        table = tmp_path / "gencos.csv"
+        table.write_text("id,c1,c2,bg,q_max\n" + "".join(
+            f"{g.id},{g.c1},{g.c2},{g.bg},{g.q_max}\n" for g in DEFAULT_GENCOS))
+        config = ExperimentConfig(
+            learner_id=3, strategy="b2", variant="nfq1", seeds=(4, 7), episodes=5,
+            episode_steps=48, out_dir=str(tmp_path / "out"), genco_table=str(table),
+            trace=False, convergence_window=0.25, forecaster_units=8, forecaster_epochs=3,
+            forecaster_batch_size=16, forecaster_learning_rate=0.002,
+            forecaster_series_steps=240, gamma=0.45, epsilon0=0.9, epsilon_decay=0.2,
+            epsilon_min=0.05, tau=0.01, batch_size=8, steps_per_iteration=3,
+            buffer_capacity=500, warmup_size=50, hidden_sizes=(8, 4), optimizer="rprop",
+            learning_rate=0.002, reward_scale=2.5, per_beta=0.6, per_eps=0.02, p_init=1.5,
+            forced_action_index=7, resample_demand=True, max_iterations=9, peak_units=1.1,
+            participation=0.5, daily_amplitude=0.4, weekly_amplitude=0.1,
+            noise_amplitude=0.02)
+        default = ExperimentConfig()
+        assert [k for k in SCHEMA if getattr(config, k) == getattr(default, k)] == []
+        for original in (config, default):
+            _write_manifest(original, tmp_path / "manifest.txt")
+            assert build_config(parse_config_file(str(tmp_path / "manifest.txt"))) == original
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +204,11 @@ class TestSweep:
             sweep(tiny_config(tmp_path / "s"), "learning_speed", [0.1])
 
     def test_invalid_value_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            sweep(tiny_config(tmp_path / "s2"), "gamma", [1.5])
+        with pytest.raises(ConfigError, match="gamma value 1.5"):
+            sweep(tiny_config(tmp_path / "s2"), "gamma", [0.3, 1.5])
+        with pytest.raises(ConfigError, match="integer"):
+            sweep(tiny_config(tmp_path / "s2"), "batch_size", [8.5])
+        assert not (tmp_path / "s2").exists()  # rejected before the first run
 
     def test_gamma_sweep_emits_comparison(self, tmp_path):
         config = tiny_config(tmp_path / "s3", seeds=(0,), trace=False, episodes=2)
@@ -270,7 +300,8 @@ class TestCli:
         assert ((tmp_path / "fc" / "forecaster.json").read_bytes()
                 == (tmp_path / "run" / "forecaster_seed3.json").read_bytes())
 
-    def test_bad_config_reports_error(self, tmp_path, capsys):
-        assert cli.main(["run", "--set", "gamma=2.0",
+    @pytest.mark.parametrize("setting", ["gamma=2.0", "gamma=fast"])
+    def test_bad_config_reports_error(self, tmp_path, capsys, setting):
+        assert cli.main(["run", "--set", setting,
                          "--out-dir", str(tmp_path / "bad")]) == 2
         assert "gamma" in capsys.readouterr().err

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -222,18 +220,3 @@ class TestInvariants:
         for k in range(25):
             buf.add(make_exp(k))
             assert len(buf) == min(k + 1, 10)
-
-
-class TestDump:
-    def test_csv_dump_round_trips_fields(self, tmp_path):
-        buf = ReplayBuffer(4, state_dim=2)
-        buf.add(Experience(np.array([1.0, 2.0]), 3, -0.5, np.array([3.0, 4.0]), True))
-        path = tmp_path / "buffer.csv"
-        buf.dump_csv(str(path))
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 1
-        assert float(rows[0]["s0"]) == 1.0
-        assert int(rows[0]["action"]) == 3
-        assert float(rows[0]["reward"]) == -0.5
-        assert float(rows[0]["priority"]) == 1.0
