@@ -6,7 +6,7 @@ p^beta / sum p^beta. beta = 0 is uniform, beta = 1 fully proportional.
 
 import numpy as np
 
-from varbid import Experience, ReplayBuffer
+from varbid import ReplayBuffer
 
 priorities = np.array([1.0, 2.0, 4.0, 8.0])
 draws = 200_000
@@ -14,7 +14,7 @@ draws = 200_000
 for beta in (0.0, 0.7, 1.0):
     buf = ReplayBuffer(capacity=4, beta=beta, eps_priority=0.01, state_dim=1, n_actions=2)
     for _ in priorities:
-        buf.add(Experience(np.zeros(1), 0, 0.0, np.zeros(1), False))
+        buf.add(np.zeros(1), 0, 0.0, np.zeros(1), False)
     buf.update_priorities(np.arange(4), priorities - 0.01)
 
     idx = buf.sample_indices(draws, np.random.default_rng(0))
@@ -28,6 +28,6 @@ for beta in (0.0, 0.7, 1.0):
 print("Ring-buffer eviction: capacity 3, four adds drop the oldest entry.")
 buf = ReplayBuffer(capacity=3, state_dim=1, n_actions=2)
 for reward in (10.0, 11.0, 12.0, 13.0):
-    buf.add(Experience(np.zeros(1), 0, reward, np.zeros(1), False))
+    buf.add(np.zeros(1), 0, reward, np.zeros(1), False)
 kept = sorted(set(buf.sample(500, np.random.default_rng(1)).rewards.tolist()))
 print(f"rewards still stored: {kept}")

@@ -22,6 +22,6 @@ from .market import (Bid, DEFAULT_GENCOS, DemandConfig, DemandSeries, GencoParam
                      simulate_total_quantity)
 from .nn import (Adam, Lstm, Mlp, NumericError, Rprop, ShapeError, grad_check,
                  load_network, save_network, soft_update)
-from .replay import Experience, ReplayBuffer
+from .replay import ReplayBuffer
 
 __version__ = "0.1.0"

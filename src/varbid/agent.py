@@ -23,7 +23,7 @@ import numpy as np
 
 from .market import ReactiveMarketEnv
 from .nn import Mlp, NumericError, ShapeError, soft_update
-from .replay import Experience, ReplayBuffer
+from .replay import ReplayBuffer
 
 N_ACTIONS = 81
 ACTIONS_PER_AXIS = 9
@@ -128,12 +128,13 @@ def compute_targets(rewards: np.ndarray, next_states: np.ndarray, terminal: np.n
     return np.asarray(rewards, dtype=float) + np.where(terminal, 0.0, gamma * best_next)
 
 
-def td_error(exp: Experience, local_net: Mlp, target_net: Mlp, variant: str,
-             gamma: float, n_actions: int = N_ACTIONS) -> float:
+def td_error(state, action: int, reward: float, next_state, terminal: bool,
+             local_net: Mlp, target_net: Mlp, variant: str, gamma: float,
+             n_actions: int = N_ACTIONS) -> float:
     """Bootstrap target minus the local network's estimate for the taken action."""
-    y = compute_targets([exp.reward], [exp.next_state], [exp.terminal],
+    y = compute_targets([reward], [next_state], [terminal],
                         target_net, variant, gamma, n_actions)[0]
-    q = q_values(local_net, variant, np.asarray(exp.state, dtype=float), n_actions)[exp.action]
+    q = q_values(local_net, variant, np.asarray(state, dtype=float), n_actions)[action]
     return float(y - q)
 
 
@@ -294,7 +295,7 @@ def warmup(task: Task, buffer: ReplayBuffer, n: int, rng: np.random.Generator,
     while stored < n:
         action = forced_action if forced_action is not None else int(rng.integers(task.n_actions))
         next_state, reward, done, _ = task.step(action)
-        buffer.add(Experience(state, action, reward, next_state, done))
+        buffer.add(state, action, reward, next_state, done)
         stored += 1
         state = task.reset(reset_seed) if done else next_state
 
@@ -372,7 +373,7 @@ def train(task: Task, config: TrainConfig, seed: int) -> TrainResult:
                 qv = q_values(target, config.variant, state, n_actions)
                 action = select_action(qv, epsilon, rng_eps)
             next_state, reward, done, info = task.step(action)
-            buffer.add(Experience(state, action, reward, next_state, done))
+            buffer.add(state, action, reward, next_state, done)
             episode_reward += reward
             episode_payment += info.get("baseline_payment", 0.0)
             if done:

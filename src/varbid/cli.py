@@ -41,6 +41,13 @@ def _build_config(args) -> harness.ExperimentConfig:
     return harness.build_config(file_values, overrides)
 
 
+def _split(args, option: str, convert) -> list:
+    try:
+        return [convert(v) for v in getattr(args, option).split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--{option}: {exc}") from exc
+
+
 def _cmd_run(args) -> int:
     summary = harness.run_experiment(_build_config(args))
     print(f"learner {summary.config.learner_id} | rivals {summary.config.strategy} "
@@ -52,7 +59,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_matrix(args) -> int:
     config = _build_config(args)
-    learners = [int(v) for v in args.learners.split(",")]
+    learners = _split(args, "learners", int)
     strategies = args.strategies.split(",")
     variants = args.variants.split(",")
     result = harness.run_matrix(config, learners, strategies, variants)
@@ -66,7 +73,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
-    values = [float(v) for v in args.values.split(",")]
+    values = _split(args, "values", float)
     records = harness.sweep(config, args.parameter, values)
     for record in records:
         flag = " DIVERGED" if record["diverged"] else ""

@@ -98,8 +98,8 @@ class ExperimentConfig(TrainConfig):
             return list(DEFAULT_GENCOS)
         try:
             return load_gencos(self.genco_table)
-        except OSError as exc:
-            raise ConfigError(f"genco_table: cannot read {self.genco_table!r}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"genco_table: cannot load {self.genco_table!r}: {exc}") from exc
 
     def learner_index(self) -> int:
         for k, g in enumerate(self.gencos()):

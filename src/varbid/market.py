@@ -76,11 +76,14 @@ DEFAULT_GENCOS = (
 
 def load_gencos(path: str) -> list[GencoParams]:
     """Read a producer table CSV with columns id, c1, c2, bg, q_max."""
-    gencos = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            gencos.append(GencoParams(int(row["id"]), float(row["c1"]), float(row["c2"]),
-                                      float(row["bg"]), float(row["q_max"])))
+        rows = csv.DictReader(fh, restval="")  # a short row reads as empty fields
+        missing = [c for c in ("id", "c1", "c2", "bg", "q_max")
+                   if c not in (rows.fieldnames or ())]
+        if missing:
+            raise ValueError(f"missing columns {', '.join(missing)} in {path}")
+        gencos = [GencoParams(int(r["id"]), float(r["c1"]), float(r["c2"]), float(r["bg"]),
+                              float(r["q_max"])) for r in rows]
     if not gencos:
         raise ValueError(f"no producer rows in {path}")
     return gencos

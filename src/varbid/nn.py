@@ -1,9 +1,9 @@
 """Small neural-network engine shared by the forecaster and the Q-learner.
 
-Provides dense multilayer perceptrons and a single-layer LSTM with
-hand-derived backpropagation, Adam and Rprop optimizers, soft parameter
-blending for target networks, a central-finite-difference gradient
-checker, and a JSON checkpoint format.
+Provides dense multilayer perceptrons (ReLU hidden layers, a linear output
+layer) and a single-layer LSTM with hand-derived backpropagation, Adam and
+Rprop optimizers, soft parameter blending for target networks, a
+central-finite-difference gradient checker, and a JSON checkpoint format.
 
 All arithmetic is float64; the gradient checks need the headroom.
 """
@@ -30,13 +30,18 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
-def _check_finite_grads(grads: list[np.ndarray]) -> None:
-    for k, g in enumerate(grads):
+def _check_grads(params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    """Raise unless there is one finite gradient of matching shape per parameter."""
+    if len(params) != len(grads):
+        raise ShapeError(f"{len(grads)} gradient arrays for {len(params)} parameter arrays")
+    for k, (p, g) in enumerate(zip(params, grads)):
         if not np.all(np.isfinite(g)):
             bad = np.argwhere(~np.isfinite(g))[0]
             raise NumericError(
                 f"non-finite gradient in array {k} at index {tuple(int(i) for i in bad)}"
             )
+        if p.shape != g.shape:
+            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -45,24 +50,18 @@ def _check_finite_grads(grads: list[np.ndarray]) -> None:
 
 @dataclass
 class Mlp:
-    """Fully connected network.
+    """Fully connected network: ReLU hidden layers and a linear output layer.
 
-    ``weights[k]`` has shape (out_k, in_k); adjacent layers must chain.
-    ``activations[k]`` is "relu" or "linear"; the default stack uses ReLU
-    hidden layers and a linear output so predictions are unbounded.
-    ``forward`` returns the final pre-activation (the output layer is
-    linear, so that *is* the output).
+    ``weights[k]`` has shape (out_k, in_k); adjacent layers must chain. The
+    output layer is linear, so predictions are unbounded.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activations: list[str]
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
             raise ShapeError("need one (weight, bias) pair per layer")
-        if len(self.activations) != len(self.weights):
-            raise ShapeError("need one activation tag per layer")
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ShapeError(f"layer {k}: weight {w.shape} / bias {b.shape} mismatch")
@@ -70,34 +69,24 @@ class Mlp:
                 raise ShapeError(
                     f"layer {k} expects {w.shape[1]} inputs, got {self.weights[k - 1].shape[0]}"
                 )
-            if self.activations[k] not in ("relu", "linear"):
-                raise ShapeError(f"unknown activation {self.activations[k]!r}")
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def random(cls, layer_sizes: list[int], seed: int, activations: list[str] | None = None) -> "Mlp":
+    def random(cls, layer_sizes: list[int], seed: int) -> "Mlp":
         """Seeded init: Glorot-uniform weights, zero biases. Deterministic."""
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise ShapeError(f"need >= 2 positive layer sizes, got {layer_sizes}")
         rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            weights.append(_glorot(rng, fan_out, fan_in))
-            biases.append(np.zeros(fan_out))
-        if activations is None:
-            activations = ["relu"] * (len(weights) - 1) + ["linear"]
-        return cls(weights, biases, activations)
+        return cls([_glorot(rng, o, i) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])],
+                   [np.zeros(o) for o in layer_sizes[1:]])
 
     @classmethod
-    def zeros(cls, layer_sizes: list[int], activations: list[str] | None = None) -> "Mlp":
+    def zeros(cls, layer_sizes: list[int]) -> "Mlp":
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise ShapeError(f"need >= 2 positive layer sizes, got {layer_sizes}")
-        weights = [np.zeros((o, i)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
-        biases = [np.zeros(o) for o in layer_sizes[1:]]
-        if activations is None:
-            activations = ["relu"] * (len(weights) - 1) + ["linear"]
-        return cls(weights, biases, activations)
+        return cls([np.zeros((o, i)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])],
+                   [np.zeros(o) for o in layer_sizes[1:]])
 
     # -- introspection ------------------------------------------------------
 
@@ -115,16 +104,10 @@ class Mlp:
 
     def params(self) -> list[np.ndarray]:
         """Live parameter arrays in a fixed order (W1, b1, W2, b2, ...)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases],
-                   list(self.activations))
+        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     # -- forward / backward -------------------------------------------------
 
@@ -138,18 +121,12 @@ class Mlp:
         a = x[None, :] if single else x
         if a.shape[-1] != self.in_dim:
             raise ShapeError(f"input has {a.shape[-1]} features, network expects {self.in_dim}")
-        layer_inputs = []
-        preacts = []
-        for w, b, act in zip(self.weights, self.biases, self.activations):
+        layer_inputs = [a]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            a = np.maximum(a @ w.T + b, 0.0)
             layer_inputs.append(a)
-            z = a @ w.T + b
-            preacts.append(z)
-            # ReLU subgradient at exactly 0 is 0, so the mask is z > 0.
-            a = np.maximum(z, 0.0) if act == "relu" else z
-        out = preacts[-1] if self.activations[-1] == "linear" else a
-        if single:
-            out = out[0]
-        return out, (layer_inputs, preacts, single)
+        out = a @ self.weights[-1].T + self.biases[-1]
+        return (out[0] if single else out), (layer_inputs, single)
 
     def backward(self, x: np.ndarray, output_gradient: np.ndarray) -> list[np.ndarray]:
         """Gradients of <output, output_gradient> w.r.t. every parameter.
@@ -159,23 +136,22 @@ class Mlp:
         """
         _, cache = self._forward_cache(np.asarray(x, dtype=float))
         g = np.asarray(output_gradient, dtype=float)
-        if cache[2]:  # single vector
+        if cache[1]:  # single vector
             g = g[None, :]
         if g.shape[-1] != self.out_dim:
             raise ShapeError(f"output gradient has {g.shape[-1]} entries, expected {self.out_dim}")
         return self._backward_from_cache(cache, g)
 
     def _backward_from_cache(self, cache, g: np.ndarray) -> list[np.ndarray]:
-        layer_inputs, preacts, _ = cache
+        layer_inputs, _ = cache
         grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.weights))
         d = g
         for k in range(len(self.weights) - 1, -1, -1):
-            if self.activations[k] == "relu":
-                d = d * (preacts[k] > 0.0)
             grads[2 * k] = d.T @ layer_inputs[k]
             grads[2 * k + 1] = d.sum(axis=0)
             if k > 0:
-                d = d @ self.weights[k]
+                # relu(z) > 0 exactly where z > 0; the subgradient at 0 is 0.
+                d = (d @ self.weights[k]) * (layer_inputs[k] > 0.0)
         return grads
 
 
@@ -204,10 +180,10 @@ class Lstm:
     The prediction is w_out . h_last + b_out.
 
     The gates are stacked: ``w`` is (4u, in + u) and ``b`` is (4u,), with
-    row blocks of u in the order f, i, o, g, so one sigmoid covers the first
-    3u pre-activations and one tanh the last u. Each block's first ``in``
-    columns hold W and its last u columns hold U: W_f is ``w[:u, :in]``,
-    U_i is ``w[u:2u, in:]``, b_g is ``b[3u:]``.
+    row blocks of u in the order f, i, o, g, so one sigmoid covers the
+    pre-activation values of the first 3u rows and one tanh the last u.
+    Each block's first ``in`` columns hold W and its last u columns hold U:
+    W_f is ``w[:u, :in]``, U_i is ``w[u:2u, in:]``, b_g is ``b[3u:]``.
     """
 
     w: np.ndarray
@@ -362,9 +338,7 @@ class Adam:
 
     def step(self, net, grads: list[np.ndarray]) -> None:
         params = net.params()
-        if len(params) != len(grads):
-            raise ShapeError(f"{len(grads)} gradient arrays for {len(params)} parameter arrays")
-        _check_finite_grads(grads)
+        _check_grads(params, grads)
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
@@ -372,8 +346,6 @@ class Adam:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            if p.shape != g.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -400,15 +372,11 @@ class Rprop:
 
     def step(self, net, grads: list[np.ndarray]) -> None:
         params = net.params()
-        if len(params) != len(grads):
-            raise ShapeError(f"{len(grads)} gradient arrays for {len(params)} parameter arrays")
-        _check_finite_grads(grads)
+        _check_grads(params, grads)
         if self._steps is None:
             self._steps = [np.full_like(p, self.step_init) for p in params]
             self._prev = [np.zeros_like(p) for p in params]
         for k, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != g.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
             prod = self._prev[k] * g
             steps = self._steps[k]
             steps[prod > 0] = np.minimum(steps[prod > 0] * self.grow, self.step_max)
@@ -482,7 +450,7 @@ def grad_check(net, inputs: np.ndarray, epsilon: float = 1e-5,
 def save_network(net, path: str) -> None:
     """Write a network as JSON: shape header plus row-major parameter arrays."""
     if isinstance(net, Mlp):
-        blob = {"kind": "mlp", "layer_sizes": net.layer_sizes, "activations": net.activations}
+        blob = {"kind": "mlp", "layer_sizes": net.layer_sizes}
     elif isinstance(net, Lstm):
         blob = {"kind": "lstm", "input_dim": net.input_dim, "units": net.units}
     else:
@@ -497,7 +465,7 @@ def load_network(path: str):
         blob = json.load(fh)
     kind = blob.get("kind")
     if kind == "mlp":
-        net = Mlp.zeros(blob["layer_sizes"], activations=blob["activations"])
+        net = Mlp.zeros(blob["layer_sizes"])  # older files' ReLU/linear tags are ignored
     elif kind == "lstm":
         net = Lstm.zeros(blob["input_dim"], blob["units"])
     else:

@@ -1,32 +1,21 @@
 """Prioritized experience replay with proportional sampling.
 
-Transitions live in preallocated arrays used as a ring buffer (oldest-first
-eviction), with priorities p_i = |td_error| + eps_priority, so every stored
-entry keeps a nonzero probability. A draw picks index i with probability
-p_i^beta / sum_j p_j^beta, with replacement, by a binary search of the
-cumulative sum of p^beta: O(size) per batch of draws, but one vectorized pass,
-which at this library's sizes (up to about 1e5 entries) beats a sum tree's
-per-level loop. beta = 0 is uniform. No importance-sampling correction is
-applied to the loss.
+Transitions live in preallocated arrays, one per field, used as a ring buffer
+(oldest-first eviction); ``add`` takes the five fields of one transition and
+the state dimension is fixed at construction. Priorities are
+p_i = |td_error| + eps_priority, so every stored entry keeps a nonzero
+probability. A draw picks index i with probability p_i^beta / sum_j p_j^beta,
+with replacement, by a binary search of the cumulative sum of p^beta: O(size)
+per batch of draws, but one vectorized pass, which at this library's sizes (up
+to about 1e5 entries) beats a sum tree's per-level loop. beta = 0 is uniform.
+No importance-sampling correction is applied to the loss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-
-@dataclass
-class Experience:
-    """One transition: (state, action index, reward, next state, terminal)."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
 
 
 class Batch(NamedTuple):
@@ -43,8 +32,8 @@ class Batch(NamedTuple):
 class ReplayBuffer:
     """Ring buffer of transitions with proportional prioritized sampling."""
 
-    def __init__(self, capacity: int, beta: float = 0.7, eps_priority: float = 0.01,
-                 p_init: float | None = None, state_dim: int | None = None,
+    def __init__(self, capacity: int, state_dim: int, beta: float = 0.7,
+                 eps_priority: float = 0.01, p_init: float | None = None,
                  n_actions: int = 81):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -65,7 +54,9 @@ class ReplayBuffer:
         self.actions = np.zeros(capacity, dtype=int)
         self.rewards = np.zeros(capacity)
         self.terminal = np.zeros(capacity, dtype=bool)
-        self.states = self.next_states = None  # (capacity, state_dim) once known
+        # Zeroed pages cost no memory until entries are written to them.
+        self.states = np.zeros((capacity, state_dim))
+        self.next_states = np.zeros((capacity, state_dim))
         self._size = 0
         self._write = 0
         self._max_priority = 1.0
@@ -76,32 +67,28 @@ class ReplayBuffer:
     def priority(self, index: int) -> float:
         return float(self._priorities[index])
 
-    def _validate(self, exp: Experience) -> None:
-        state = np.asarray(exp.state, dtype=float)
-        nxt = np.asarray(exp.next_state, dtype=float)
-        if self.state_dim is None:
-            self.state_dim = state.shape[-1] if state.ndim else 1
-        if state.shape != (self.state_dim,) or nxt.shape != (self.state_dim,):
-            raise ValueError(
-                f"state shapes {state.shape}/{nxt.shape} do not match dimension {self.state_dim}"
-            )
-        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(nxt)) and np.isfinite(exp.reward)):
-            raise ValueError("experience contains non-finite values")
-        if not 0 <= exp.action < self.n_actions:
-            raise ValueError(f"action {exp.action} outside [0, {self.n_actions - 1}]")
+    def add(self, state, action: int, reward: float, next_state, terminal: bool) -> None:
+        """Store with the fresh-entry priority, evicting the oldest at capacity.
 
-    def add(self, exp: Experience) -> None:
-        """Store with the fresh-entry priority, evicting the oldest at capacity."""
-        self._validate(exp)
-        if self.states is None:  # zeroed pages are only touched as entries arrive
-            self.states = np.zeros((self.capacity, self.state_dim))
-            self.next_states = np.zeros((self.capacity, self.state_dim))
+        A transition with a wrong state shape, a non-finite value or an action
+        outside [0, n_actions) is rejected before any slot is written.
+        """
+        s = np.asarray(state, dtype=float)
+        nxt = np.asarray(next_state, dtype=float)
+        if s.shape != (self.state_dim,) or nxt.shape != (self.state_dim,):
+            raise ValueError(
+                f"state shapes {s.shape}/{nxt.shape} do not match dimension {self.state_dim}"
+            )
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(nxt)) and np.isfinite(reward)):
+            raise ValueError("experience contains non-finite values")
+        if not 0 <= action < self.n_actions:
+            raise ValueError(f"action {action} outside [0, {self.n_actions - 1}]")
         w = self._write
-        self.states[w] = exp.state
-        self.next_states[w] = exp.next_state
-        self.actions[w] = exp.action
-        self.rewards[w] = exp.reward
-        self.terminal[w] = exp.terminal
+        self.states[w] = s
+        self.next_states[w] = nxt
+        self.actions[w] = action
+        self.rewards[w] = reward
+        self.terminal[w] = terminal
         priority = self._max_priority if self.p_init is None else self.p_init
         self._priorities[w] = priority
         self._weights[w] = priority ** self.beta

@@ -9,7 +9,7 @@ from varbid.agent import (BiddingTask, N_ACTIONS, STATE_DIM, StepRecord, TrainCo
 from varbid.forecast import train_forecaster
 from varbid.market import ReactiveMarketEnv, simulate_total_quantity
 from varbid.nn import Mlp, ShapeError
-from varbid.replay import Experience, ReplayBuffer
+from varbid.replay import ReplayBuffer
 
 
 class TestActionGrid:
@@ -131,14 +131,15 @@ class TestSelectAction:
 
 
 def _exp(state, action, reward, next_state, terminal=False):
-    return Experience(np.asarray(state, dtype=float), action, reward,
-                      np.asarray(next_state, dtype=float), terminal)
+    """The (state, action, reward, next state, terminal) fields of one transition."""
+    return (np.asarray(state, dtype=float), action, reward,
+            np.asarray(next_state, dtype=float), terminal)
 
 
 def _fields(batch):
     """The (rewards, next_states, terminal) arrays of a list of transitions."""
-    return (np.array([e.reward for e in batch]), np.array([e.next_state for e in batch]),
-            np.array([e.terminal for e in batch]))
+    _, _, rewards, next_states, terminal = zip(*batch)
+    return np.array(rewards), np.array(next_states), np.array(terminal)
 
 
 class TestTargetsAndTdError:
@@ -157,7 +158,7 @@ class TestTargetsAndTdError:
     def test_hand_built_q_table_backup(self):
         # Linear identity net embeds a 2-state Q-table: Q(s, a) = W one_hot(s).
         table = np.array([[0.3, 1.2], [0.7, 0.1]])  # rows: actions, cols: states
-        net = Mlp([table], [np.zeros(2)], ["linear"])
+        net = Mlp([table], [np.zeros(2)])
         batch = [_exp([1.0, 0.0], 0, 0.5, [0.0, 1.0]),
                  _exp([0.0, 1.0], 1, -1.0, [1.0, 0.0])]
         y = compute_targets(*_fields(batch), net, "nfq2", 0.5, n_actions=2)
@@ -167,7 +168,7 @@ class TestTargetsAndTdError:
     def test_td_error_simple_arithmetic(self):
         net = Mlp.zeros([13, 4, 81])
         exp = _exp(np.zeros(13), 3, 1.0, np.zeros(13))
-        assert td_error(exp, net, net, "nfq2", 0.0) == pytest.approx(1.0)
+        assert td_error(*exp, net, net, "nfq2", 0.0) == pytest.approx(1.0)
 
     def test_td_error_zero_at_fixed_point(self):
         # Q-table equal to the exact fixed point of the toy MDP at gamma 0.5.
@@ -175,10 +176,10 @@ class TestTargetsAndTdError:
         # Solve Q* analytically: V(s1)=2, V(s0)=1 under the optimal policy.
         qstar = np.array([[0.1 + gamma * 1.0, 0.0 + gamma * 2.0],
                           [1.0 + gamma * 2.0, 0.0 + gamma * 1.0]]).T  # (a, s)
-        net = Mlp([qstar], [np.zeros(2)], ["linear"])
+        net = Mlp([qstar], [np.zeros(2)])
         for (s, a), r in REWARDS.items():
             exp = _exp(np.eye(2)[s], a, r, np.eye(2)[TRANSITIONS[(s, a)]])
-            assert abs(td_error(exp, net, net, "nfq2", gamma, n_actions=2)) < 1e-9
+            assert abs(td_error(*exp, net, net, "nfq2", gamma, n_actions=2)) < 1e-9
 
     def test_td_error_matches_component_composition(self):
         local = Mlp.random([13, 8, 81], seed=1)
@@ -186,8 +187,8 @@ class TestTargetsAndTdError:
         exp = _exp(np.random.default_rng(0).normal(size=13), 11, 0.3,
                    np.random.default_rng(1).normal(size=13))
         expected = (compute_targets(*_fields([exp]), target, "nfq2", 0.4)[0]
-                    - q_values(local, "nfq2", exp.state)[11])
-        assert td_error(exp, local, target, "nfq2", 0.4) == pytest.approx(expected, abs=1e-12)
+                    - q_values(local, "nfq2", exp[0])[11])
+        assert td_error(*exp, local, target, "nfq2", 0.4) == pytest.approx(expected, abs=1e-12)
 
 
 class TestWarmup:
@@ -272,7 +273,7 @@ class TestTrain:
         cfg = toy_config(batch_size=4, hidden_sizes=(8,))
         buf = ReplayBuffer(10, state_dim=13, n_actions=81)
         for _ in range(4):  # reward near the float ceiling overflows the squared loss
-            buf.add(Experience(np.zeros(13), 0, 1e200, np.zeros(13), False))
+            buf.add(np.zeros(13), 0, 1e200, np.zeros(13), False)
         local = Mlp.random([13, 8, 81], seed=0)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="epsilon 0.5"):
             _one_training_pass(local, local.copy(), buf, cfg.make_optimizer(), cfg, 81,
@@ -299,9 +300,9 @@ class TestTrain:
         expected_indices = buf.sample_indices(cfg.batch_size, probe)
         _one_training_pass(local, target, buf, opt, cfg, 2, rng_per, context="test")
         for idx in np.unique(expected_indices):
-            exp = Experience(buf.states[idx], int(buf.actions[idx]), buf.rewards[idx],
-                             buf.next_states[idx], bool(buf.terminal[idx]))
-            delta = td_error(exp, local, target, cfg.variant, cfg.gamma, 2)
+            delta = td_error(buf.states[idx], int(buf.actions[idx]), buf.rewards[idx],
+                             buf.next_states[idx], bool(buf.terminal[idx]),
+                             local, target, cfg.variant, cfg.gamma, 2)
             stored = buf.priority(int(idx))
             # last write wins for duplicate indices; every stored value must
             # equal |delta| + eps for its entry

@@ -305,3 +305,29 @@ class TestCli:
         assert cli.main(["run", "--set", setting,
                          "--out-dir", str(tmp_path / "bad")]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", [
+        "id,c1,bg,q_max\n1,0.73,0.075,0.5\n",
+        "id,c1,c2,bg,q_max\n1,0.73,x,0.075,0.5\n",
+        "id,c1,c2,bg,q_max\n1,0.73,0.0,0.075,0.5\n",
+        "id,c1,c2,bg,q_max\n",
+    ], ids=["no-c2-column", "malformed-number", "zero-cost", "no-rows"])
+    def test_bad_genco_table_reports_error(self, tmp_path, capsys, table):
+        path = tmp_path / "gencos.csv"
+        path.write_text(table)
+        assert cli.main(["run", "--set", f"genco_table={path}",
+                         "--out-dir", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: genco_table:")
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["sweep", "--parameter", "gamma", "--values", "0.3,x"], "--values"),
+        (["matrix", "--learners", "1,y"], "--learners"),
+    ])
+    def test_bad_list_option_names_it(self, tmp_path, capsys, argv, option):
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {option}:")
+        assert not (tmp_path / "bad").exists()

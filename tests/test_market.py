@@ -459,6 +459,16 @@ class TestGencoTable:
         with pytest.raises(ValueError):
             load_gencos(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("id,c1,bg,q_max\n1,0.73,0.075,0.5\n", "missing columns c2"),
+        ("id,c1,c2,bg,q_max\n1,0.73\n", "could not convert"),
+    ])
+    def test_missing_column_or_field_is_a_value_error(self, tmp_path, text, message):
+        path = tmp_path / "gencos.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_gencos(str(path))
+
     def test_invalid_costs_rejected(self):
         with pytest.raises(ValueError):
             GencoParams(1, 0.0, 0.3, 0.1, 0.5)

@@ -13,12 +13,12 @@ def random_input_away_from_kinks(net, rng, margin=1e-3):
         x = rng.normal(size=net.in_dim)
         a = x[None, :]
         ok = True
-        for w, b, act in zip(net.weights, net.biases, net.activations):
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):  # the ReLU layers
             z = a @ w.T + b
-            if act == "relu" and np.abs(z).min() < margin:
+            if np.abs(z).min() < margin:
                 ok = False
                 break
-            a = np.maximum(z, 0.0) if act == "relu" else z
+            a = np.maximum(z, 0.0)
         if ok:
             return x
     raise AssertionError("could not find a kink-free input")
@@ -57,8 +57,7 @@ class TestMlpInit:
 
     def test_mismatched_layers_rejected(self):
         with pytest.raises(ShapeError):
-            Mlp([np.zeros((4, 3)), np.zeros((5, 9))], [np.zeros(4), np.zeros(5)],
-                ["relu", "linear"])
+            Mlp([np.zeros((4, 3)), np.zeros((5, 9))], [np.zeros(4), np.zeros(5)])
 
 
 class TestMlpForward:
@@ -67,7 +66,7 @@ class TestMlpForward:
         assert np.array_equal(net.forward(np.ones(5)), np.zeros(3))
 
     def test_identity_linear_layer(self):
-        net = Mlp([np.eye(4)], [np.zeros(4)], ["linear"])
+        net = Mlp([np.eye(4)], [np.zeros(4)])
         x = np.array([1.0, -2.0, 3.5, 0.0])
         assert np.array_equal(net.forward(x), x)
 
@@ -94,7 +93,7 @@ class TestMlpForward:
 
 class TestMlpBackward:
     def test_linear_layer_outer_product(self):
-        net = Mlp.zeros([3, 2], activations=["linear"])
+        net = Mlp.zeros([3, 2])
         x = np.array([1.0, 2.0, -1.0])
         g = np.array([0.5, -1.5])
         grads = net.backward(x, g)
@@ -103,8 +102,7 @@ class TestMlpBackward:
 
     def test_dead_relu_blocks_gradient(self):
         # One hidden unit forced negative: its incoming weights get no gradient.
-        net = Mlp([np.array([[1.0], [-1.0]]), np.ones((1, 2))],
-                  [np.zeros(2), np.zeros(1)], ["relu", "linear"])
+        net = Mlp([np.array([[1.0], [-1.0]]), np.ones((1, 2))], [np.zeros(2), np.zeros(1)])
         grads = net.backward(np.array([2.0]), np.array([1.0]))
         assert grads[0][0, 0] != 0.0
         assert grads[0][1, 0] == 0.0
@@ -114,6 +112,26 @@ class TestMlpBackward:
         net = Mlp.random([7, 10, 4], seed=21)
         x = random_input_away_from_kinks(net, rng)
         assert grad_check(net, x) < 1e-4
+
+    def test_batch_matches_finite_differences(self):
+        # Training sums the per-row products over a batch; check that sum.
+        rng = np.random.default_rng(5)
+        net = Mlp.random([5, 7, 6, 3], seed=8)
+        x = np.stack([random_input_away_from_kinks(net, rng) for _ in range(6)])
+        probe = rng.normal(size=(6, 3))
+        analytic = net.backward(x, probe)
+        eps = 1e-5
+        for p, g in zip(net.params(), analytic):
+            numeric = np.empty_like(p)
+            for idx in np.ndindex(p.shape):
+                orig = p[idx]
+                p[idx] = orig + eps
+                f_plus = np.sum(probe * net.forward(x))
+                p[idx] = orig - eps
+                f_minus = np.sum(probe * net.forward(x))
+                p[idx] = orig
+                numeric[idx] = (f_plus - f_minus) / (2.0 * eps)
+            assert np.allclose(g, numeric, rtol=1e-6, atol=1e-8)
 
     def test_output_gradient_dimension_checked(self):
         net = Mlp.random([4, 3], seed=0)
@@ -342,7 +360,7 @@ class TestOptimizers:
 
     def test_adam_converges_on_quadratic(self):
         # Minimize (w - 1.7)^2 for a single weight; analytic minimum is 1.7.
-        net = Mlp([np.array([[0.2]])], [np.zeros(1)], ["linear"])
+        net = Mlp([np.array([[0.2]])], [np.zeros(1)])
         opt = Adam(learning_rate=0.01)
         for _ in range(1000):
             w = net.weights[0][0, 0]
@@ -350,7 +368,7 @@ class TestOptimizers:
         assert abs(net.weights[0][0, 0] - 1.7) < 1e-3
 
     def test_rprop_monotone_growth_until_cap(self):
-        net = Mlp([np.array([[0.0]])], [np.zeros(1)], ["linear"])
+        net = Mlp([np.array([[0.0]])], [np.zeros(1)])
         opt = Rprop(step_init=0.1, step_max=1.0)
         values = []
         for _ in range(30):
@@ -362,7 +380,7 @@ class TestOptimizers:
         assert diffs[-1] == pytest.approx(1.0)  # step saturates at step_max
 
     def test_rprop_shrinks_on_sign_flip(self):
-        net = Mlp([np.array([[0.0]])], [np.zeros(1)], ["linear"])
+        net = Mlp([np.array([[0.0]])], [np.zeros(1)])
         opt = Rprop(step_init=0.1)
         opt.step(net, [np.array([[1.0]]), np.zeros(1)])
         opt.step(net, [np.array([[-1.0]]), np.zeros(1)])  # flip: skip + shrink
@@ -386,6 +404,28 @@ class TestOptimizers:
                 assert np.all(np.isfinite(p))
 
 
+    @pytest.mark.parametrize("make_opt", [Adam, Rprop])
+    @pytest.mark.parametrize("bad", ["shape", "nan", "count"])
+    def test_rejected_step_changes_nothing(self, make_opt, bad):
+        net = Mlp.random([3, 4, 2], seed=0)
+        opt = make_opt()
+        opt.step(net, [np.ones_like(p) for p in net.params()])
+        before = [p.copy() for p in net.params()]
+        t_before = getattr(opt, "t", None)
+        grads = [np.ones_like(p) for p in net.params()]
+        if bad == "shape":
+            grads[3] = np.ones(3)
+        elif bad == "nan":
+            grads[3][1] = np.nan
+        else:
+            grads.pop()
+        with pytest.raises(NumericError if bad == "nan" else ShapeError):
+            opt.step(net, grads)
+        assert getattr(opt, "t", None) == t_before
+        for b, p in zip(before, net.params()):
+            assert np.array_equal(b, p)
+
+
 class TestSoftUpdate:
     def test_tau_zero_keeps_target(self):
         t = Mlp.random([3, 2], seed=0)
@@ -402,8 +442,8 @@ class TestSoftUpdate:
             assert np.array_equal(a, b)
 
     def test_halfway_blend(self):
-        t = Mlp.zeros([1, 1], activations=["linear"])
-        l = Mlp.zeros([1, 1], activations=["linear"])
+        t = Mlp.zeros([1, 1])
+        l = Mlp.zeros([1, 1])
         l.weights[0][0, 0] = 2.0
         out = soft_update(t, l, 0.5)
         assert out.weights[0][0, 0] == pytest.approx(1.0)
@@ -425,7 +465,7 @@ class TestSoftUpdate:
 
 class TestGradCheck:
     def test_linear_network_near_exact(self):
-        net = Mlp.random([5, 4], seed=1, activations=["linear"])
+        net = Mlp.random([5, 4], seed=1)
         x = np.random.default_rng(0).normal(size=5)
         assert grad_check(net, x) < 1e-8
 
@@ -448,7 +488,6 @@ class TestSerialization:
         save_network(net, str(path))
         loaded = load_network(str(path))
         assert loaded.layer_sizes == net.layer_sizes
-        assert loaded.activations == net.activations
         for a, b in zip(loaded.params(), net.params()):
             assert np.array_equal(a, b)
 
@@ -477,3 +516,15 @@ class TestSerialization:
         blob = json.loads(path.read_text())
         assert blob["kind"] == "mlp"
         assert blob["layer_sizes"] == [3, 2]
+        assert "activations" not in blob
+
+    def test_older_mlp_header_with_activations_loads(self, tmp_path):
+        # Older files also named the (only) layer stack: ReLU hidden, linear output.
+        net = Mlp.random([4, 5, 3], seed=6)
+        path = tmp_path / "net.json"
+        save_network(net, str(path))
+        blob = json.loads(path.read_text())
+        blob["activations"] = ["relu", "linear"]
+        path.write_text(json.dumps(blob))
+        x = np.random.default_rng(0).normal(size=(7, 4))
+        assert np.array_equal(load_network(str(path)).forward(x), net.forward(x))

@@ -2,32 +2,33 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from varbid.replay import Experience, ReplayBuffer
+from varbid.replay import ReplayBuffer
 
 
-def make_exp(tag=0.0, action=0, terminal=False, dim=3):
+def transition(tag=0.0, action=0, terminal=False, dim=3):
+    """The (state, action, reward, next state, terminal) fields tagged by one number."""
     s = np.full(dim, tag)
-    return Experience(s, action, float(tag), s + 1.0, terminal)
+    return s, action, float(tag), s + 1.0, terminal
 
 
 class TestConstruction:
     def test_reference_configuration(self):
-        buf = ReplayBuffer(capacity=100_000, beta=0.7, eps_priority=0.01)
+        buf = ReplayBuffer(capacity=100_000, state_dim=13, beta=0.7, eps_priority=0.01)
         assert buf.capacity == 100_000
         assert buf.beta == 0.7
         assert len(buf) == 0
 
     def test_capacity_one_always_evicts(self):
         buf = ReplayBuffer(1, state_dim=3)
-        buf.add(make_exp(1.0))
-        buf.add(make_exp(2.0))
+        buf.add(*transition(1.0))
+        buf.add(*transition(2.0))
         assert len(buf) == 1
         assert buf.sample(1, np.random.default_rng(0)).rewards[0] == 2.0
 
     def test_beta_zero_is_uniform(self):
         buf = ReplayBuffer(4, beta=0.0, state_dim=3)
         for k in range(4):
-            buf.add(make_exp(k))
+            buf.add(*transition(k))
         buf.update_priorities([0, 1, 2, 3], [0.0, 10.0, 100.0, 1000.0])
         idx = buf.sample_indices(40_000, np.random.default_rng(7))
         freq = np.bincount(idx, minlength=4) / 40_000
@@ -40,80 +41,99 @@ class TestConstruction:
     ])
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            ReplayBuffer(**kwargs)
+            ReplayBuffer(state_dim=3, **kwargs)
 
 
 class TestAdd:
     def test_size_grows_to_capacity(self):
         buf = ReplayBuffer(3, state_dim=3)
-        buf.add(make_exp(0.0))
+        buf.add(*transition(0.0))
         assert len(buf) == 1
         for k in range(5):
-            buf.add(make_exp(k))
+            buf.add(*transition(k))
         assert len(buf) == 3
 
     def test_sampled_fields_match_last_write(self):
         buf = ReplayBuffer(3, state_dim=3)
         written = {}
         for k in range(7):
-            exp = make_exp(float(k), action=k, terminal=k % 3 == 1)
-            buf.add(exp)
-            written[k % 3] = exp
+            fields = transition(float(k), action=k, terminal=k % 3 == 1)
+            buf.add(*fields)
+            written[k % 3] = fields
         batch = buf.sample(300, np.random.default_rng(4))
         assert set(batch.indices.tolist()) == {0, 1, 2}
         for j, i in enumerate(batch.indices):
-            exp = written[int(i)]
-            assert np.array_equal(batch.states[j], exp.state)
-            assert np.array_equal(batch.next_states[j], exp.next_state)
-            assert batch.actions[j] == exp.action
-            assert batch.rewards[j] == exp.reward
-            assert batch.terminal[j] == exp.terminal
+            state, action, reward, next_state, terminal = written[int(i)]
+            assert np.array_equal(batch.states[j], state)
+            assert np.array_equal(batch.next_states[j], next_state)
+            assert batch.actions[j] == action
+            assert batch.rewards[j] == reward
+            assert batch.terminal[j] == terminal
 
     def test_oldest_evicted_first(self):
         buf = ReplayBuffer(3, state_dim=3)
         for k in range(4):
-            buf.add(make_exp(float(k)))
+            buf.add(*transition(float(k)))
         rewards = set(buf.sample(200, np.random.default_rng(0)).rewards.tolist())
         assert 0.0 not in rewards
         assert rewards <= {1.0, 2.0, 3.0}
 
     def test_fresh_priority_is_p_init_not_td(self):
         buf = ReplayBuffer(4, p_init=2.5, state_dim=3)
-        buf.add(make_exp(0.0))
+        buf.add(*transition(0.0))
         assert buf.priority(0) == 2.5
 
     def test_default_p_init_tracks_running_max(self):
         buf = ReplayBuffer(4, eps_priority=0.01, state_dim=3)
-        buf.add(make_exp(0.0))
+        buf.add(*transition(0.0))
         assert buf.priority(0) == 1.0  # empty-buffer fallback
         buf.update_priorities([0], [4.99])
-        buf.add(make_exp(1.0))
+        buf.add(*transition(1.0))
         assert buf.priority(1) == 5.0
 
     def test_malformed_experience_rejected(self):
         buf = ReplayBuffer(4, state_dim=3, n_actions=81)
         with pytest.raises(ValueError):
-            buf.add(Experience(np.zeros(2), 0, 0.0, np.zeros(3), False))
+            buf.add(np.zeros(2), 0, 0.0, np.zeros(3), False)
         with pytest.raises(ValueError):
-            buf.add(Experience(np.zeros(3), 81, 0.0, np.zeros(3), False))
+            buf.add(np.zeros(3), 81, 0.0, np.zeros(3), False)
         with pytest.raises(ValueError):
-            buf.add(Experience(np.zeros(3), 0, float("nan"), np.zeros(3), False))
+            buf.add(np.zeros(3), 0, float("nan"), np.zeros(3), False)
+
+    @pytest.mark.parametrize("bad", [
+        (np.zeros(3), 0, 9.0, np.zeros(2), False),
+        (np.full(3, np.inf), 0, 9.0, np.zeros(3), False),
+        (np.zeros(3), -1, 9.0, np.zeros(3), False),
+    ])
+    def test_rejected_transition_writes_nothing(self, bad):
+        buf = ReplayBuffer(2, state_dim=3, n_actions=81)
+        buf.add(*transition(1.0))
+        buf.add(*transition(2.0))  # full: the next write would evict slot 0
+        before = [a.copy() for a in (buf.states, buf.next_states, buf.actions,
+                                     buf.rewards, buf.terminal)]
+        with pytest.raises(ValueError):
+            buf.add(*bad)
+        after = (buf.states, buf.next_states, buf.actions, buf.rewards, buf.terminal)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert len(buf) == 2 and buf.priority(0) == buf.priority(1) == 1.0
+        buf.add(*transition(3.0))
+        assert buf.rewards.tolist() == [3.0, 2.0]
 
 
 class TestSample:
     def test_empty_buffer_is_a_state_error(self):
         with pytest.raises(RuntimeError):
-            ReplayBuffer(4).sample(1, np.random.default_rng(0))
+            ReplayBuffer(4, state_dim=3).sample(1, np.random.default_rng(0))
 
     def test_oversampling_allowed_with_replacement(self):
         buf = ReplayBuffer(4, state_dim=3)
-        buf.add(make_exp(0.0))
+        buf.add(*transition(0.0))
         assert len(buf.sample(10, np.random.default_rng(0)).indices) == 10
 
     def test_deterministic_given_seed(self):
         buf = ReplayBuffer(8, state_dim=3)
         for k in range(8):
-            buf.add(make_exp(k))
+            buf.add(*transition(k))
         buf.update_priorities(range(8), np.linspace(0, 3, 8))
         a = buf.sample_indices(100, np.random.default_rng(42))
         b = buf.sample_indices(100, np.random.default_rng(42))
@@ -123,7 +143,7 @@ class TestSample:
         # index i owns [w_0 + ... + w_(i-1), w_0 + ... + w_i) of the draw range
         buf = ReplayBuffer(8, beta=0.7, state_dim=3)
         for k in range(6):
-            buf.add(make_exp(k))
+            buf.add(*transition(k))
         buf.update_priorities(range(6), [0.5, 0.0, 3.0, 1.0, 0.2, 2.0])
         idx = buf.sample_indices(500, np.random.default_rng(1))
         bounds, running = [], 0.0
@@ -136,8 +156,8 @@ class TestSample:
     def test_two_entry_exact_probabilities(self):
         # priorities 3 and 1 at beta=1: probabilities 0.75 / 0.25
         buf = ReplayBuffer(2, beta=1.0, eps_priority=0.01, state_dim=3)
-        buf.add(make_exp(0.0))
-        buf.add(make_exp(1.0))
+        buf.add(*transition(0.0))
+        buf.add(*transition(1.0))
         buf.update_priorities([0, 1], [2.99, 0.99])
         idx = buf.sample_indices(200_000, np.random.default_rng(3))
         freq = np.bincount(idx, minlength=2) / 200_000
@@ -147,7 +167,7 @@ class TestSample:
     def test_powered_priorities_match_within_one_percent(self):
         buf = ReplayBuffer(4, beta=0.7, eps_priority=0.01, state_dim=3)
         for k in range(3):
-            buf.add(make_exp(k))
+            buf.add(*transition(k))
         buf.update_priorities([0, 1, 2], [0.99, 1.99, 3.99])
         idx = buf.sample_indices(1_000_000, np.random.default_rng(11))
         freq = np.bincount(idx, minlength=3) / 1_000_000
@@ -161,7 +181,7 @@ class TestSample:
         n = 60
         buf = ReplayBuffer(64, beta=0.7, eps_priority=0.01, state_dim=3)
         for k in range(n):
-            buf.add(make_exp(k))
+            buf.add(*transition(k))
         pri = rng.uniform(0.01, 5.0, size=n)
         buf.update_priorities(np.arange(n), pri - 0.01)
         draws = 200_000
@@ -175,31 +195,31 @@ class TestSample:
 class TestUpdatePriorities:
     def test_zero_td_error_floors_at_eps(self):
         buf = ReplayBuffer(4, eps_priority=0.01, state_dim=3)
-        buf.add(make_exp(0.0))
+        buf.add(*transition(0.0))
         buf.update_priorities([0], [0.0])
         assert buf.priority(0) == 0.01
 
     def test_absolute_value_of_negative_error(self):
         buf = ReplayBuffer(4, eps_priority=0.01, state_dim=3)
-        buf.add(make_exp(0.0))
+        buf.add(*transition(0.0))
         buf.update_priorities([0], [-2.0])
         assert buf.priority(0) == pytest.approx(2.01)
 
     def test_repeated_index_last_write_wins(self):
         buf = ReplayBuffer(4, eps_priority=0.01, state_dim=3)
-        buf.add(make_exp(0.0))
+        buf.add(*transition(0.0))
         buf.update_priorities([0, 0], [5.0, 1.0])
         assert buf.priority(0) == pytest.approx(1.01)
 
     def test_out_of_range_index_rejected(self):
         buf = ReplayBuffer(4, state_dim=3)
-        buf.add(make_exp(0.0))
+        buf.add(*transition(0.0))
         with pytest.raises(ValueError):
             buf.update_priorities([1], [0.5])
 
     def test_length_mismatch_rejected(self):
         buf = ReplayBuffer(4, state_dim=3)
-        buf.add(make_exp(0.0))
+        buf.add(*transition(0.0))
         with pytest.raises(ValueError):
             buf.update_priorities([0], [0.5, 0.6])
 
@@ -209,7 +229,7 @@ class TestInvariants:
         rng = np.random.default_rng(9)
         buf = ReplayBuffer(16, eps_priority=0.05, state_dim=3)
         for k in range(50):
-            buf.add(make_exp(k))
+            buf.add(*transition(k))
             stored = len(buf)
             picks = rng.integers(0, stored, size=4)
             buf.update_priorities(picks, rng.normal(size=4))
@@ -218,5 +238,5 @@ class TestInvariants:
     def test_count_is_min_of_adds_and_capacity(self):
         buf = ReplayBuffer(10, state_dim=3)
         for k in range(25):
-            buf.add(make_exp(k))
+            buf.add(*transition(k))
             assert len(buf) == min(k + 1, 10)
