@@ -7,8 +7,8 @@ finishes in about a minute; the experiment harness runs the full matrix.
 
 import numpy as np
 
-from varbid import (ReactiveMarketEnv, TrainConfig, simulate_total_quantity,
-                    train_forecaster, train_market_agent)
+from varbid import (BiddingTask, ReactiveMarketEnv, TrainConfig, simulate_total_quantity,
+                    train, train_forecaster)
 from varbid.harness import derive_env_seed
 
 seed = 0
@@ -20,7 +20,7 @@ config = TrainConfig(gamma=0.3, epsilon_decay=0.1, tau=1e-3, batch_size=64,
                      steps_per_iteration=4, buffer_capacity=20_000, warmup_size=2_000,
                      variant="nfq2", learning_rate=1e-3, episodes=120)
 env = ReactiveMarketEnv(learner=1, rival_strategy="b1", episode_steps=168)
-result = train_market_agent(env, config, forecaster, seed)
+result = train(BiddingTask(env, forecaster), config, seed)
 
 rewards = np.array([e.reward for e in result.episodes])
 print("\nepisodic reward (mean over blocks of 20 episodes):")

@@ -9,8 +9,7 @@ command line (``cli``).
 
 from .agent import (BiddingTask, EpisodeStats, N_ACTIONS, STATE_DIM, TrainConfig,
                     TrainResult, action_decode, compute_targets, encode_state,
-                    greedy_episode, q_values, select_action, td_error, train,
-                    train_market_agent, warmup)
+                    greedy_episode, q_values, select_action, td_error, train, warmup)
 from .forecast import (ForecastDataset, Forecaster, baseline_predict, holdout_mse,
                        load_forecaster, make_dataset, save_forecaster, train_forecaster,
                        train_lstm)

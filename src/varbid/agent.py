@@ -6,9 +6,13 @@ values 1.0 / 0.0 before history exists) plus a normalized next-hour
 requirement estimate from the forecaster. Actions index an 81-point grid
 of magnification pairs, each coordinate in {1.0, 1.5, ..., 5.0}.
 
+The Q-network's shape fixes its layout: nfq2 maps a state to one value per
+action; nfq1 maps a state with the normalized action index a / (n - 1)
+appended to a single value.
+
 Training follows fitted Q iteration with a slowly blended target network
 and prioritized replay: act epsilon-greedily with the *target* network for
-a block of steps, store transitions at the fresh-entry priority, sample a
+a block of steps, store transitions at the running max priority, sample a
 mini-batch, regress the local network once toward bootstrap targets
 r + gamma * max_a' Q(s', a'; target), refresh the sampled priorities from
 the updated local network, then soft-update the target.
@@ -54,9 +58,8 @@ class StepRecord(NamedTuple):
     reward: float
 
 
-def encode_state(records, t: int, requirement_estimate: float,
-                 reward_scale: float = 1.0) -> np.ndarray:
-    """13-vector of lagged magnifications, lagged scaled rewards, and the estimate.
+def encode_state(records, t: int, requirement_estimate: float) -> np.ndarray:
+    """13-vector of lagged magnifications, lagged rewards, and the estimate.
 
     Lags reaching before recorded history pad with magnification 1.0 and
     reward 0.0 (what truthful bidding would have produced). The estimate is
@@ -69,7 +72,7 @@ def encode_state(records, t: int, requirement_estimate: float,
             rec = records[j]
             state[2 * li] = rec.a1
             state[2 * li + 1] = rec.a2
-            state[8 + li] = rec.reward / reward_scale
+            state[8 + li] = rec.reward
         else:
             state[2 * li] = 1.0
             state[2 * li + 1] = 1.0
@@ -82,29 +85,33 @@ def encode_state(records, t: int, requirement_estimate: float,
 # Q evaluation
 # ---------------------------------------------------------------------------
 
-def _q_matrix(net: Mlp, variant: str, states: np.ndarray, n_actions: int) -> np.ndarray:
+def _is_nfq1(net: Mlp, state_dim: int, n_actions: int) -> bool:
+    """The network's layout: True for nfq1, False for nfq2, ShapeError for neither."""
+    layouts = {(state_dim, n_actions): False, (state_dim + 1, 1): True}
+    if (net.in_dim, net.out_dim) not in layouts:
+        raise ShapeError(f"network maps {net.in_dim} inputs to {net.out_dim} outputs; expected "
+                         f"nfq2 ({state_dim} -> {n_actions}) or nfq1 ({state_dim + 1} -> 1)")
+    return layouts[net.in_dim, net.out_dim]
+
+
+def _with_actions(states: np.ndarray, actions: np.ndarray, n_actions: int) -> np.ndarray:
+    """nfq1 input rows: each state followed by its normalized action index."""
+    return np.concatenate([states, (actions / (n_actions - 1))[:, None]], axis=1)
+
+
+def _q_matrix(net: Mlp, states: np.ndarray, n_actions: int) -> np.ndarray:
     """Q-values for every action at each state row; shape (len(states), n_actions)."""
-    if variant == "nfq2":
-        if net.out_dim != n_actions:
-            raise ShapeError(f"nfq2 network outputs {net.out_dim} values, expected {n_actions}")
+    if not _is_nfq1(net, states.shape[1], n_actions):
         return net.forward(states)
-    if variant == "nfq1":
-        if net.out_dim != 1 or net.in_dim != states.shape[1] + 1:
-            raise ShapeError(
-                f"nfq1 network must map {states.shape[1] + 1} inputs to 1 output, "
-                f"got {net.in_dim} -> {net.out_dim}")
-        m = len(states)
-        action_col = np.tile(np.arange(n_actions) / (n_actions - 1), m)[:, None]
-        inputs = np.concatenate([np.repeat(states, n_actions, axis=0), action_col], axis=1)
-        return net.forward(inputs).reshape(m, n_actions)
-    raise ValueError(f"unknown network variant {variant!r}")
+    inputs = _with_actions(np.repeat(states, n_actions, axis=0),
+                           np.tile(np.arange(n_actions), len(states)), n_actions)
+    return net.forward(inputs).reshape(-1, n_actions)
 
 
-def q_values(net: Mlp, variant: str, state: np.ndarray, n_actions: int = N_ACTIONS) -> np.ndarray:
-    """All action values for one state. nfq1 evaluates the network once per
-    action with the normalized action index appended; nfq2 evaluates once."""
+def q_values(net: Mlp, state: np.ndarray, n_actions: int = N_ACTIONS) -> np.ndarray:
+    """All action values for one state, in one batched forward pass."""
     state = np.asarray(state, dtype=float)
-    return _q_matrix(net, variant, state[None, :], n_actions)[0]
+    return _q_matrix(net, state[None, :], n_actions)[0]
 
 
 def select_action(qvals: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -118,23 +125,20 @@ def select_action(qvals: np.ndarray, epsilon: float, rng: np.random.Generator) -
 
 
 def compute_targets(rewards: np.ndarray, next_states: np.ndarray, terminal: np.ndarray,
-                    target_net: Mlp, variant: str, gamma: float,
-                    n_actions: int = N_ACTIONS) -> np.ndarray:
+                    target_net: Mlp, gamma: float, n_actions: int = N_ACTIONS) -> np.ndarray:
     """Bootstrap targets r + gamma * max_a' Q(s', a'; target); terminal rows use r."""
     if len(rewards) == 0:
         raise ValueError("batch is empty")
-    best_next = _q_matrix(target_net, variant, np.asarray(next_states, dtype=float),
+    best_next = _q_matrix(target_net, np.asarray(next_states, dtype=float),
                           n_actions).max(axis=1)
     return np.asarray(rewards, dtype=float) + np.where(terminal, 0.0, gamma * best_next)
 
 
 def td_error(state, action: int, reward: float, next_state, terminal: bool,
-             local_net: Mlp, target_net: Mlp, variant: str, gamma: float,
-             n_actions: int = N_ACTIONS) -> float:
+             local_net: Mlp, target_net: Mlp, gamma: float, n_actions: int = N_ACTIONS) -> float:
     """Bootstrap target minus the local network's estimate for the taken action."""
-    y = compute_targets([reward], [next_state], [terminal],
-                        target_net, variant, gamma, n_actions)[0]
-    q = q_values(local_net, variant, np.asarray(state, dtype=float), n_actions)[action]
+    y = compute_targets([reward], [next_state], [terminal], target_net, gamma, n_actions)[0]
+    q = q_values(local_net, np.asarray(state, dtype=float), n_actions)[action]
     return float(y - q)
 
 
@@ -160,10 +164,9 @@ class BiddingTask:
     do not depend on anyone's bids because dispatch balances the requirement.
     """
 
-    def __init__(self, env: ReactiveMarketEnv, forecaster, reward_scale: float = 1.0):
+    def __init__(self, env: ReactiveMarketEnv, forecaster):
         self.env = env
         self.forecaster = forecaster
-        self.reward_scale = reward_scale
         self.n_actions = N_ACTIONS
         self.state_dim = STATE_DIM
         self._estimate_seed: int | None = None
@@ -178,14 +181,14 @@ class BiddingTask:
             self._estimates = np.clip(preds, 0.0, 1.0)
             self._estimate_seed = seed
         self._records: list[StepRecord] = []
-        return encode_state(self._records, 0, self._estimates[0], self.reward_scale)
+        return encode_state(self._records, 0, self._estimates[0])
 
     def step(self, action: int):
         a1, a2 = action_decode(action)
         result = self.env.step((a1, a2))
         self._records.append(StepRecord(a1, a2, result.reward))
         t = len(self._records)
-        state = encode_state(self._records, t, self._estimates[t], self.reward_scale)
+        state = encode_state(self._records, t, self._estimates[t])
         return state, result.reward, result.done, result.info
 
 
@@ -219,10 +222,8 @@ class TrainConfig:
     learning_rate: float = 1e-3
     episodes: int = 1500
     max_iterations: int | None = None
-    reward_scale: float = 1.0
     per_beta: float = 0.7
     per_eps: float = 0.01
-    p_init: float | None = None     # None: running max priority
     forced_action_index: int | None = None
     resample_demand: bool = False   # fresh requirement noise every episode
 
@@ -235,18 +236,18 @@ class TrainConfig:
             (0.0 < self.tau <= 1.0, "tau must be in (0, 1]"),
             (self.batch_size >= 1, "batch_size must be >= 1"),
             (self.buffer_capacity >= 1, "buffer_capacity must be >= 1"),
-            (self.warmup_size <= self.buffer_capacity, "warmup_size must be <= buffer_capacity"),
+            (0 <= self.warmup_size <= self.buffer_capacity,
+             "warmup_size must be in [0, buffer_capacity]"),
+            (not self.hidden_sizes or min(self.hidden_sizes) >= 1, "hidden_sizes must be positive"),
             (self.variant in VARIANTS, f"variant must be one of {VARIANTS}"),
             (self.optimizer in ("adam", "rprop"), "optimizer must be adam or rprop"),
             (0.0 <= self.epsilon_min <= self.epsilon0 <= 1.0, "need 0 <= epsilon_min <= epsilon0 <= 1"),
             (0.0 <= self.epsilon_decay <= 1.0, "epsilon_decay must be in [0, 1]"),
             (self.steps_per_iteration >= 1, "steps_per_iteration must be >= 1"),
             (self.episodes >= 1, "episodes must be >= 1"),
-            (self.reward_scale > 0, "reward_scale must be positive"),
             (self.learning_rate > 0, "learning_rate must be positive"),
             (0.0 <= self.per_beta <= 1.0, "per_beta must be in [0, 1]"),
             (self.per_eps > 0.0, "per_eps must be > 0"),
-            (self.p_init is None or self.p_init > 0.0, "p_init must be > 0 or None"),
         ]
         for ok, message in checks:
             if not ok:
@@ -309,14 +310,13 @@ def _one_training_pass(local: Mlp, target: Mlp, buffer: ReplayBuffer, opt,
     """
     batch = buffer.sample(config.batch_size, rng)
     y = compute_targets(batch.rewards, batch.next_states, batch.terminal, target,
-                        config.variant, config.gamma, n_actions)
+                        config.gamma, n_actions)
     m = len(y)
     # The network input and the output entry that holds Q(s, a) for each row.
-    if config.variant == "nfq2":
-        inputs, taken = batch.states, (np.arange(m), batch.actions)
+    if _is_nfq1(local, batch.states.shape[1], n_actions):
+        inputs, taken = _with_actions(batch.states, batch.actions, n_actions), (slice(None), 0)
     else:
-        action_col = (batch.actions / (n_actions - 1))[:, None]
-        inputs, taken = np.concatenate([batch.states, action_col], axis=1), (slice(None), 0)
+        inputs, taken = batch.states, (np.arange(m), batch.actions)
     out, cache = local._forward_cache(inputs)
     err = out[taken] - y
     loss = float(np.mean(err * err))
@@ -347,8 +347,7 @@ def train(task: Task, config: TrainConfig, seed: int) -> TrainResult:
     target = local.copy()
     opt = config.make_optimizer()
     buffer = ReplayBuffer(config.buffer_capacity, beta=config.per_beta,
-                          eps_priority=config.per_eps, p_init=config.p_init,
-                          state_dim=task.state_dim, n_actions=n_actions)
+                          eps_priority=config.per_eps, state_dim=task.state_dim, n_actions=n_actions)
 
     env_seed = int(rng_env.integers(2**63))
     warmup(task, buffer, config.warmup_size, rng_warm, reset_seed=env_seed,
@@ -370,7 +369,7 @@ def train(task: Task, config: TrainConfig, seed: int) -> TrainResult:
             if config.forced_action_index is not None:
                 action = config.forced_action_index
             else:
-                qv = q_values(target, config.variant, state, n_actions)
+                qv = q_values(target, state, n_actions)
                 action = select_action(qv, epsilon, rng_eps)
             next_state, reward, done, info = task.step(action)
             buffer.add(state, action, reward, next_state, done)
@@ -400,21 +399,14 @@ def train(task: Task, config: TrainConfig, seed: int) -> TrainResult:
     return TrainResult(episodes=episodes, local=local, target=target)
 
 
-def train_market_agent(env: ReactiveMarketEnv, config: TrainConfig, forecaster,
-                       seed: int) -> TrainResult:
-    """Convenience wrapper: wrap the market env in a BiddingTask and train."""
-    task = BiddingTask(env, forecaster, reward_scale=config.reward_scale)
-    return train(task, config, seed)
-
-
-def greedy_episode(task: Task, net: Mlp, variant: str, reset_seed: int) -> tuple[float, list[dict]]:
+def greedy_episode(task: Task, net: Mlp, reset_seed: int) -> tuple[float, list[dict]]:
     """Play one episode with the greedy policy; returns (total reward, step infos)."""
     state = task.reset(reset_seed)
     total = 0.0
     rows = []
     done = False
     while not done:
-        action = int(np.argmax(q_values(net, variant, state, task.n_actions)))
+        action = int(np.argmax(q_values(net, state, task.n_actions)))
         state, reward, done, info = task.step(action)
         total += reward
         info = dict(info)

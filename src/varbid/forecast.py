@@ -17,6 +17,12 @@ import numpy as np
 from .nn import Adam, Lstm, NumericError, ShapeError
 
 WINDOW = 24  # hours of history per prediction
+HOLDOUT_FRAC = 0.2  # trailing share of windows kept out of training and scored
+
+
+def holdout_split(n_windows: int) -> int:
+    """Index of the first held-out window: the last HOLDOUT_FRAC, at least one."""
+    return n_windows - max(1, int(round(HOLDOUT_FRAC * n_windows)))
 
 
 @dataclass
@@ -120,15 +126,14 @@ def train_lstm(dataset: ForecastDataset, units: int = 32, epochs: int = 50, seed
     return Forecaster(lstm=lstm, lo=dataset.lo, hi=dataset.hi), final_mse
 
 
-def holdout_mse(series, forecaster: Forecaster, holdout_frac: float = 0.2) -> tuple[float, float]:
-    """(LSTM MSE, two-lag reference MSE) on the last fraction of windows.
+def holdout_mse(series, forecaster: Forecaster) -> tuple[float, float]:
+    """(LSTM MSE, two-lag reference MSE) on the held-out windows.
 
     Both are evaluated on the raw series scale over identical target hours.
     """
     values = np.asarray(series, dtype=float)
-    n = len(values) - WINDOW
-    split = n - max(1, int(round(holdout_frac * n)))
-    windows = np.lib.stride_tricks.sliding_window_view(values, WINDOW)[split:n]
+    split = holdout_split(len(values) - WINDOW)
+    windows = np.lib.stride_tricks.sliding_window_view(values, WINDOW)[split:-1]
     targets = values[WINDOW + split:]
     lstm_preds = forecaster.predict_batch(windows)
     ref_preds = np.array([baseline_predict(values, t) for t in range(WINDOW + split, len(values))])
@@ -137,12 +142,10 @@ def holdout_mse(series, forecaster: Forecaster, holdout_frac: float = 0.2) -> tu
 
 
 def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
-                     batch_size: int = 32, learning_rate: float = 5e-3,
-                     holdout_frac: float = 0.2) -> tuple[Forecaster, float]:
-    """Fit on the first (1 - holdout_frac) of windows, keeping the tail unseen."""
+                     batch_size: int = 32, learning_rate: float = 5e-3) -> tuple[Forecaster, float]:
+    """Fit on the windows before ``holdout_split``, keeping the scored tail unseen."""
     dataset = make_dataset(series)
-    n = len(dataset)
-    split = n - max(1, int(round(holdout_frac * n)))
+    split = holdout_split(len(dataset))
     train = ForecastDataset(inputs=dataset.inputs[:split], targets=dataset.targets[:split],
                             lo=dataset.lo, hi=dataset.hi)
     return train_lstm(train, units=units, epochs=epochs, seed=seed,

@@ -25,8 +25,9 @@ import numpy as np
 from .agent import (N_ACTIONS, STREAM_ENV, STREAM_FORECASTER, BiddingTask, ConfigError,
                     TrainConfig, greedy_episode, train)
 from .forecast import Forecaster, save_forecaster, train_forecaster
-from .market import (DEFAULT_GENCOS, DemandConfig, ReactiveMarketEnv,
-                     RIVAL_STRATEGIES, load_gencos, simulate_total_quantity)
+from .market import (DEFAULT_GENCOS, MIN_EPISODE_STEPS, MIN_PROFILE_STEPS, DemandConfig,
+                     ReactiveMarketEnv, RIVAL_STRATEGIES, load_gencos,
+                     simulate_total_quantity)
 from .nn import NumericError, save_network
 
 
@@ -78,18 +79,26 @@ class ExperimentConfig(TrainConfig):
     noise_amplitude: float = 0.05
 
     def validate(self) -> None:
-        if not self.seeds:
-            raise ConfigError("seeds: need at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds: must be distinct, got {self.seeds}")
-        if self.strategy not in RIVAL_STRATEGIES:
-            raise ConfigError(f"strategy: must be one of {RIVAL_STRATEGIES}, got {self.strategy!r}")
-        if not 0.0 < self.convergence_window <= 1.0:
-            raise ConfigError("convergence_window: must be in (0, 1]")
-        if (self.forced_action_index is not None
-                and not 0 <= self.forced_action_index < N_ACTIONS):
-            raise ConfigError(f"forced_action_index: must be in [0, {N_ACTIONS}), "
-                              f"got {self.forced_action_index}")
+        checks = [
+            (bool(self.seeds), "seeds: need at least one seed"),
+            (len(set(self.seeds)) == len(self.seeds), f"seeds: must be distinct, got {self.seeds}"),
+            (self.strategy in RIVAL_STRATEGIES,
+             f"strategy: must be one of {RIVAL_STRATEGIES}, got {self.strategy!r}"),
+            (0.0 < self.convergence_window <= 1.0, "convergence_window: must be in (0, 1]"),
+            (self.forced_action_index is None or 0 <= self.forced_action_index < N_ACTIONS,
+             f"forced_action_index: must be in [0, {N_ACTIONS}), got {self.forced_action_index}"),
+            (self.episode_steps >= MIN_EPISODE_STEPS,
+             f"episode_steps: must be >= {MIN_EPISODE_STEPS}"),
+            (self.forecaster_series_steps >= MIN_PROFILE_STEPS,
+             f"forecaster_series_steps: must be >= {MIN_PROFILE_STEPS}"),
+            (self.forecaster_units >= 1, "forecaster_units: must be >= 1"),
+            (self.forecaster_epochs >= 0, "forecaster_epochs: must be >= 0"),
+            (self.forecaster_batch_size >= 1, "forecaster_batch_size: must be >= 1"),
+            (self.forecaster_learning_rate > 0, "forecaster_learning_rate: must be positive"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
         self.learner_index()  # raises unless learner_id is in the producer table
         super().validate()
 
@@ -260,7 +269,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                                 rival_strategy=config.strategy,
                                 demand_config=config.demand_config(),
                                 episode_steps=config.episode_steps)
-        task = BiddingTask(env, forecaster, reward_scale=config.reward_scale)
+        task = BiddingTask(env, forecaster)
         result = train(task, config, seed)
 
         _write_csv(out / f"curve_seed{seed}.csv", CURVE_FIELDS,
@@ -269,8 +278,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         save_network(result.local, str(out / f"qnet_local_seed{seed}.json"))
         save_network(result.target, str(out / f"qnet_target_seed{seed}.json"))
         if config.trace:
-            _, infos = greedy_episode(task, result.local, config.variant,
-                                      derive_env_seed(seed))
+            _, infos = greedy_episode(task, result.local, derive_env_seed(seed))
             header, rows = _trace_rows(infos, len(gencos))
             _write_csv(out / f"trace_seed{seed}.csv", header, rows)
 

@@ -27,7 +27,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .forecast import WINDOW
+
 RIVAL_STRATEGIES = ("b1", "b2")
+MIN_PROFILE_STEPS = 49  # two days of history for the 48-hour state lag, plus one hour
+MIN_EPISODE_STEPS = MIN_PROFILE_STEPS - WINDOW  # the env's profile adds a WINDOW lead-in
 B1_NOISE = 0.05  # uniform demand-observation noise for strategy b1 rivals
 
 
@@ -271,10 +275,10 @@ def demand_profile(episode_steps: int, seed: int,
     """Seeded requirement series: base * (1 + daily + weekly sinusoids + noise).
 
     Values are clipped at zero; normalization divides by the series maximum.
-    Needs at least 49 steps so two full days of history exist for state lags.
+    Needs at least MIN_PROFILE_STEPS steps so two full days of history exist.
     """
-    if episode_steps < 49:
-        raise ValueError(f"episode needs >= 49 steps for two days of history, got {episode_steps}")
+    if episode_steps < MIN_PROFILE_STEPS:
+        raise ValueError(f"need >= {MIN_PROFILE_STEPS} steps, got {episode_steps}")
     rng = np.random.default_rng(seed)
     t = np.arange(episode_steps)
     amp_sum = 1.0 + config.daily_amplitude + config.weekly_amplitude + config.noise_amplitude
@@ -304,9 +308,10 @@ class EnvStep(NamedTuple):
 class ReactiveMarketEnv:
     """Episode of hourly clearings with one learning producer.
 
-    ``reset(seed)`` regenerates the requirement series with a one-day
-    lead-in so the requirement forecaster has a full window before the
-    first market hour, and returns those lead-in total quantities. Rival
+    ``reset(seed)`` regenerates the requirement series with a lead-in of
+    one forecaster window (``forecast.WINDOW`` hours) so the forecaster has
+    a full window before the first market hour, and returns those lead-in
+    total quantities. Rival
     bids and the truthful counterfactual depend only on the seed, so reset
     also draws every hour's rival bids and clears the learner's truthful
     bid (c1, c2) against them in one ``clear_market_batch`` call; an
@@ -326,15 +331,14 @@ class ReactiveMarketEnv:
     rival_strategy: str = "b1"
     demand_config: DemandConfig = field(default_factory=DemandConfig)
     episode_steps: int = 720
-    lead_in: int = 24
 
     def __post_init__(self):
         if not 0 <= self.learner < len(self.gencos):
             raise ValueError(f"learner index {self.learner} outside producer list")
         if self.rival_strategy not in RIVAL_STRATEGIES:
             raise ValueError(f"unknown rival strategy {self.rival_strategy!r}")
-        if self.episode_steps < 25:
-            raise ValueError("episode needs at least 25 steps")
+        if self.episode_steps < MIN_EPISODE_STEPS:
+            raise ValueError(f"episode needs at least {MIN_EPISODE_STEPS} steps")
         self._t = len(self)  # unusable until reset
         self._bids_b1: list | None = None
         self._seed = None  # seed whose arrays are held
@@ -368,10 +372,10 @@ class ReactiveMarketEnv:
     def _build(self, seed: int) -> None:
         self._seed = None
         self._t = len(self)  # stays unusable if the clearing below raises
-        full = demand_profile(self.episode_steps + self.lead_in, seed, self.demand_config)
-        self._lead_in_values = full.values[:self.lead_in]
-        self._values = full.values[self.lead_in:]
-        self._d_norm = full.normalized[self.lead_in:]
+        full = demand_profile(self.episode_steps + WINDOW, seed, self.demand_config)
+        self._lead_in_values = full.values[:WINDOW]
+        self._values = full.values[WINDOW:]
+        self._d_norm = full.normalized[WINDOW:]
 
         # Rival noise is drawn hour-major with rivals in index order, as a
         # per-hour scalar draw for each rival would be.
@@ -434,17 +438,15 @@ class ReactiveMarketEnv:
 
 
 def simulate_total_quantity(gencos=DEFAULT_GENCOS, demand_config: DemandConfig = DemandConfig(),
-                            seed: int = 0, steps: int = 720,
-                            magnification: tuple[float, float] = (2.0, 2.0)) -> np.ndarray:
-    """Total quantity series from an episode where everyone bids a fixed markup.
+                            seed: int = 0, steps: int = 720) -> np.ndarray:
+    """Total quantity series from an episode where everyone bids twice their costs.
 
     Used to build the forecaster's training data: the hourly sum of
     dispatched totals tracks the market requirement.
     """
     series = demand_profile(steps, seed, demand_config)
-    m1, m2 = magnification
-    b1 = np.array([[m1 * g.c1 for g in gencos]] * steps)
-    b2 = np.array([[m2 * g.c2 for g in gencos]] * steps)
+    b1 = np.array([[2.0 * g.c1 for g in gencos]] * steps)
+    b2 = np.array([[2.0 * g.c2 for g in gencos]] * steps)
     qmax = np.array([g.q_max for g in gencos])
     x, _ = clear_market_batch(b1, b2, qmax, series.values)
     return x.sum(axis=1) + sum(g.bg for g in gencos)

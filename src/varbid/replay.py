@@ -2,7 +2,9 @@
 
 Transitions live in preallocated arrays, one per field, used as a ring buffer
 (oldest-first eviction); ``add`` takes the five fields of one transition and
-the state dimension is fixed at construction. Priorities are
+the state dimension is fixed at construction. A new entry gets the running
+max priority (1.0 while no priority has exceeded it), so it is likely to be
+replayed at least once (Schaul et al. 2016). Updated priorities are
 p_i = |td_error| + eps_priority, so every stored entry keeps a nonzero
 probability. A draw picks index i with probability p_i^beta / sum_j p_j^beta,
 with replacement, by a binary search of the cumulative sum of p^beta: O(size)
@@ -33,20 +35,16 @@ class ReplayBuffer:
     """Ring buffer of transitions with proportional prioritized sampling."""
 
     def __init__(self, capacity: int, state_dim: int, beta: float = 0.7,
-                 eps_priority: float = 0.01, p_init: float | None = None,
-                 n_actions: int = 81):
+                 eps_priority: float = 0.01, n_actions: int = 81):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
         if eps_priority <= 0.0:
             raise ValueError(f"eps_priority must be > 0, got {eps_priority}")
-        if p_init is not None and p_init <= 0.0:
-            raise ValueError(f"p_init must be > 0, got {p_init}")
         self.capacity = capacity
         self.beta = beta
         self.eps_priority = eps_priority
-        self.p_init = p_init  # None: track the running max priority, start 1.0
         self.state_dim = state_dim
         self.n_actions = n_actions
         self._priorities = np.zeros(capacity)
@@ -68,10 +66,11 @@ class ReplayBuffer:
         return float(self._priorities[index])
 
     def add(self, state, action: int, reward: float, next_state, terminal: bool) -> None:
-        """Store with the fresh-entry priority, evicting the oldest at capacity.
+        """Store at the running max priority, evicting the oldest at capacity.
 
-        A transition with a wrong state shape, a non-finite value or an action
-        outside [0, n_actions) is rejected before any slot is written.
+        A transition with a wrong state shape, a non-finite value, an action
+        that is not an integer in [0, n_actions) or a terminal flag that is not
+        a bool is rejected before any slot is written.
         """
         s = np.asarray(state, dtype=float)
         nxt = np.asarray(next_state, dtype=float)
@@ -81,18 +80,19 @@ class ReplayBuffer:
             )
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(nxt)) and np.isfinite(reward)):
             raise ValueError("experience contains non-finite values")
-        if not 0 <= action < self.n_actions:
-            raise ValueError(f"action {action} outside [0, {self.n_actions - 1}]")
+        if (isinstance(action, bool) or not isinstance(action, (int, np.integer))
+                or not 0 <= action < self.n_actions):
+            raise ValueError(f"action must be an integer in [0, {self.n_actions - 1}], got {action!r}")
+        if not isinstance(terminal, (bool, np.bool_)):
+            raise ValueError(f"terminal flag must be a bool, got {terminal!r}")
         w = self._write
         self.states[w] = s
         self.next_states[w] = nxt
         self.actions[w] = action
         self.rewards[w] = reward
         self.terminal[w] = terminal
-        priority = self._max_priority if self.p_init is None else self.p_init
-        self._priorities[w] = priority
-        self._weights[w] = priority ** self.beta
-        self._max_priority = max(self._max_priority, priority)
+        self._priorities[w] = self._max_priority
+        self._weights[w] = self._max_priority ** self.beta
         self._size = min(self._size + 1, self.capacity)
         self._write = (w + 1) % self.capacity
 

@@ -131,7 +131,7 @@ def test_criterion_6_toy_mdp_policy_recovery():
     hits = 0
     for seed in range(10):
         result = train(TwoStateMdp(), config, seed)
-        learned = [int(np.argmax(q_values(result.local, "nfq2", np.eye(2)[s], 2)))
+        learned = [int(np.argmax(q_values(result.local, np.eye(2)[s], 2)))
                    for s in (0, 1)]
         hits += learned == optimal
     report(6, "toy MDP: greedy policy matches value iteration in >= 9 of 10 seeds",

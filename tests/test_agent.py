@@ -5,8 +5,9 @@ from oracles import value_iteration
 from toy_env import REWARDS, TRANSITIONS, TwoStateMdp, ZeroRewardTask
 from varbid.agent import (BiddingTask, N_ACTIONS, STATE_DIM, StepRecord, TrainConfig,
                           action_decode, compute_targets, encode_state, q_values,
-                          select_action, td_error, train, train_market_agent, warmup)
+                          select_action, td_error, train, warmup)
 from varbid.forecast import train_forecaster
+from varbid.harness import derive_env_seed
 from varbid.market import ReactiveMarketEnv, simulate_total_quantity
 from varbid.nn import Mlp, ShapeError
 from varbid.replay import ReplayBuffer
@@ -50,11 +51,6 @@ class TestEncodeState:
             assert state[2 * li + 1] == records[t - lag].a2
             assert state[8 + li] == records[t - lag].reward
 
-    def test_reward_scaling_applied(self):
-        records = [StepRecord(1.0, 1.0, 10.0)]
-        state = encode_state(records, 1, 0.0, reward_scale=4.0)
-        assert state[11] == pytest.approx(2.5)  # lag-1 slot
-
     def test_length_always_13(self):
         for t in (0, 1, 30, 100):
             records = [StepRecord(1.0, 1.0, 0.0)] * t
@@ -70,32 +66,32 @@ class TestQValues:
         state = np.zeros(STATE_DIM)
         net2 = Mlp.zeros([13, 8, 81])
         net2.biases[-1][:] = 0.7
-        assert np.allclose(q_values(net2, "nfq2", state), 0.7)
+        assert np.allclose(q_values(net2, state), 0.7)
         net1 = Mlp.zeros([14, 8, 1])
         net1.biases[-1][:] = -0.2
-        assert np.allclose(q_values(net1, "nfq1", state), -0.2)
+        assert np.allclose(q_values(net1, state), -0.2)
 
     def test_both_variants_return_81_values(self):
         state = np.random.default_rng(0).normal(size=STATE_DIM)
-        q2 = q_values(Mlp.random([13, 16, 81], seed=1), "nfq2", state)
-        q1 = q_values(Mlp.random([14, 16, 1], seed=1), "nfq1", state)
+        q2 = q_values(Mlp.random([13, 16, 81], seed=1), state)
+        q1 = q_values(Mlp.random([14, 16, 1], seed=1), state)
         assert q2.shape == (81,)
         assert q1.shape == (81,)
 
     def test_nfq1_matches_direct_forward_on_augmented_vector(self):
         net = Mlp.random([14, 32, 1], seed=5)
         state = np.random.default_rng(3).normal(size=STATE_DIM)
-        qs = q_values(net, "nfq1", state)
+        qs = q_values(net, state)
         for k in (0, 7, 80):
             direct = net.forward(np.concatenate([state, [k / 80.0]]))[0]
             assert qs[k] == pytest.approx(direct, abs=1e-12)
 
     def test_variant_shape_mismatch_rejected(self):
         state = np.zeros(STATE_DIM)
-        with pytest.raises(ShapeError):
-            q_values(Mlp.random([13, 16, 80], seed=0), "nfq2", state)
-        with pytest.raises(ShapeError):
-            q_values(Mlp.random([13, 16, 1], seed=0), "nfq1", state)
+        with pytest.raises(ShapeError, match=r"nfq2 \(13 -> 81\) or nfq1 \(14 -> 1\)"):
+            q_values(Mlp.random([13, 16, 80], seed=0), state)
+        with pytest.raises(ShapeError, match=r"nfq2 \(13 -> 81\) or nfq1 \(14 -> 1\)"):
+            q_values(Mlp.random([13, 16, 1], seed=0), state)
 
 
 class TestSelectAction:
@@ -147,13 +143,13 @@ class TestTargetsAndTdError:
         net = Mlp.random([13, 8, 81], seed=0)
         batch = [_exp(np.zeros(13), 4, 1.5, np.ones(13)),
                  _exp(np.ones(13), 2, -0.5, np.zeros(13))]
-        y = compute_targets(*_fields(batch), net, "nfq2", 0.0)
+        y = compute_targets(*_fields(batch), net, 0.0)
         assert np.allclose(y, [1.5, -0.5])
 
     def test_terminal_ignores_bootstrap(self):
         net = Mlp.random([13, 8, 81], seed=0)
         batch = [_exp(np.zeros(13), 0, 2.0, np.ones(13), terminal=True)]
-        assert compute_targets(*_fields(batch), net, "nfq2", 0.9)[0] == pytest.approx(2.0)
+        assert compute_targets(*_fields(batch), net, 0.9)[0] == pytest.approx(2.0)
 
     def test_hand_built_q_table_backup(self):
         # Linear identity net embeds a 2-state Q-table: Q(s, a) = W one_hot(s).
@@ -161,14 +157,14 @@ class TestTargetsAndTdError:
         net = Mlp([table], [np.zeros(2)])
         batch = [_exp([1.0, 0.0], 0, 0.5, [0.0, 1.0]),
                  _exp([0.0, 1.0], 1, -1.0, [1.0, 0.0])]
-        y = compute_targets(*_fields(batch), net, "nfq2", 0.5, n_actions=2)
+        y = compute_targets(*_fields(batch), net, 0.5, n_actions=2)
         assert y[0] == pytest.approx(0.5 + 0.5 * max(1.2, 0.1))
         assert y[1] == pytest.approx(-1.0 + 0.5 * max(0.3, 0.7))
 
     def test_td_error_simple_arithmetic(self):
         net = Mlp.zeros([13, 4, 81])
         exp = _exp(np.zeros(13), 3, 1.0, np.zeros(13))
-        assert td_error(*exp, net, net, "nfq2", 0.0) == pytest.approx(1.0)
+        assert td_error(*exp, net, net, 0.0) == pytest.approx(1.0)
 
     def test_td_error_zero_at_fixed_point(self):
         # Q-table equal to the exact fixed point of the toy MDP at gamma 0.5.
@@ -179,16 +175,16 @@ class TestTargetsAndTdError:
         net = Mlp([qstar], [np.zeros(2)])
         for (s, a), r in REWARDS.items():
             exp = _exp(np.eye(2)[s], a, r, np.eye(2)[TRANSITIONS[(s, a)]])
-            assert abs(td_error(*exp, net, net, "nfq2", gamma, n_actions=2)) < 1e-9
+            assert abs(td_error(*exp, net, net, gamma, n_actions=2)) < 1e-9
 
     def test_td_error_matches_component_composition(self):
         local = Mlp.random([13, 8, 81], seed=1)
         target = Mlp.random([13, 8, 81], seed=2)
         exp = _exp(np.random.default_rng(0).normal(size=13), 11, 0.3,
                    np.random.default_rng(1).normal(size=13))
-        expected = (compute_targets(*_fields([exp]), target, "nfq2", 0.4)[0]
-                    - q_values(local, "nfq2", exp[0])[11])
-        assert td_error(*exp, local, target, "nfq2", 0.4) == pytest.approx(expected, abs=1e-12)
+        expected = (compute_targets(*_fields([exp]), target, 0.4)[0]
+                    - q_values(local, exp[0])[11])
+        assert td_error(*exp, local, target, 0.4) == pytest.approx(expected, abs=1e-12)
 
 
 class TestWarmup:
@@ -237,7 +233,7 @@ class TestTrain:
     def test_toy_mdp_recovers_value_iteration_policy(self):
         optimal = value_iteration(REWARDS, TRANSITIONS, gamma=0.5)
         result = train(TwoStateMdp(), toy_config(), seed=1)
-        learned = [int(np.argmax(q_values(result.local, "nfq2", np.eye(2)[s], 2)))
+        learned = [int(np.argmax(q_values(result.local, np.eye(2)[s], 2)))
                    for s in (0, 1)]
         assert learned == optimal
 
@@ -260,6 +256,22 @@ class TestTrain:
         assert min(eps) >= 0.1
         k = len(eps) - 1
         assert eps[-1] == pytest.approx(max(0.1, 0.5 ** k))
+
+    @pytest.mark.parametrize("warmup_size", [0, 32])
+    def test_first_episode_seed_is_derive_env_seed(self, warmup_size):
+        # harness.derive_env_seed recomputes this draw for the forecaster series
+        # and the greedy trace, so both must see the series train starts on.
+        seeds = []
+
+        class RecordingTask(ZeroRewardTask):
+            def reset(self, seed):
+                seeds.append(seed)
+                return super().reset(seed)
+
+        cfg = toy_config(warmup_size=warmup_size, max_iterations=10)
+        train(RecordingTask(), cfg, seed=5)
+        assert seeds[0] == derive_env_seed(5)
+        assert set(seeds) == {seeds[0]}  # without resample_demand every reset repeats it
 
     def test_rprop_optimizer_path_runs(self):
         cfg = toy_config(optimizer="rprop", max_iterations=60, episodes=10**6)
@@ -302,7 +314,7 @@ class TestTrain:
         for idx in np.unique(expected_indices):
             delta = td_error(buf.states[idx], int(buf.actions[idx]), buf.rewards[idx],
                              buf.next_states[idx], bool(buf.terminal[idx]),
-                             local, target, cfg.variant, cfg.gamma, 2)
+                             local, target, cfg.gamma, 2)
             stored = buf.priority(int(idx))
             # last write wins for duplicate indices; every stored value must
             # equal |delta| + eps for its entry
@@ -337,7 +349,7 @@ class TestBiddingTask:
         env = ReactiveMarketEnv(episode_steps=30, rival_strategy="b2")
         cfg = TrainConfig(episodes=3, steps_per_iteration=5, batch_size=16,
                           buffer_capacity=500, warmup_size=32, hidden_sizes=(16,))
-        result = train_market_agent(env, cfg, forecaster, seed=0)
+        result = train(BiddingTask(env, forecaster), cfg, seed=0)
         assert len(result.episodes) == 3
         assert all(np.isfinite(e.reward) for e in result.episodes)
         assert all(e.baseline_payment > 0 for e in result.episodes)
@@ -348,7 +360,7 @@ class TestBiddingTask:
         cfg = TrainConfig(gamma=0.3, batch_size=64, tau=1e-3, per_beta=0.7,
                           episodes=100, steps_per_iteration=24,
                           buffer_capacity=5000, warmup_size=200, hidden_sizes=(32,))
-        result = train_market_agent(env, cfg, forecaster, seed=0)
+        result = train(BiddingTask(env, forecaster), cfg, seed=0)
         assert len(result.episodes) == 100
         assert all(np.isfinite(e.reward) for e in result.episodes)
         for p in result.local.params():

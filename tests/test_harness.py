@@ -66,18 +66,21 @@ class TestConfigParsing:
             tiny_config(tmp_path, learner_id=9)
 
     @pytest.mark.parametrize("key, value", [
-        ("gamma", 1.5), ("per_beta", 2.0), ("per_eps", 0.0), ("p_init", -1.0),
-        ("buffer_capacity", 0), ("forced_action_index", 81)])
+        ("gamma", 1.5), ("per_beta", 2.0), ("per_eps", 0.0),
+        ("buffer_capacity", 0), ("forced_action_index", 81), ("hidden_sizes", (0,)),
+        ("hidden_sizes", (16, -4)), ("warmup_size", -3), ("episode_steps", 10),
+        ("forecaster_units", 0), ("forecaster_epochs", -1), ("forecaster_batch_size", 0),
+        ("forecaster_series_steps", 10), ("forecaster_learning_rate", -1.0)])
     def test_train_field_validation_surfaces(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}\b"):
             tiny_config(tmp_path, **{key: value})
 
     def test_optional_fields_parse_none(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text("hidden_sizes = none\np_init = 2.0\nmax_iterations = 50\n")
+        cfg_file.write_text("hidden_sizes = none\nforced_action_index = 2\nmax_iterations = 50\n")
         values = parse_config_file(str(cfg_file))
         assert values["hidden_sizes"] is None
-        assert values["p_init"] == 2.0
+        assert values["forced_action_index"] == 2
         assert values["max_iterations"] == 50
 
     def test_manifest_round_trips_every_field(self, tmp_path):
@@ -92,7 +95,7 @@ class TestConfigParsing:
             forecaster_series_steps=240, gamma=0.45, epsilon0=0.9, epsilon_decay=0.2,
             epsilon_min=0.05, tau=0.01, batch_size=8, steps_per_iteration=3,
             buffer_capacity=500, warmup_size=50, hidden_sizes=(8, 4), optimizer="rprop",
-            learning_rate=0.002, reward_scale=2.5, per_beta=0.6, per_eps=0.02, p_init=1.5,
+            learning_rate=0.002, per_beta=0.6, per_eps=0.02,
             forced_action_index=7, resample_demand=True, max_iterations=9, peak_units=1.1,
             participation=0.5, daily_amplitude=0.4, weekly_amplitude=0.1,
             noise_amplitude=0.02)

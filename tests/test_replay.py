@@ -37,7 +37,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("kwargs", [
         {"capacity": 0}, {"capacity": 4, "beta": -0.1}, {"capacity": 4, "beta": 1.5},
-        {"capacity": 4, "eps_priority": 0.0}, {"capacity": 4, "p_init": -1.0},
+        {"capacity": 4, "eps_priority": 0.0},
     ])
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -78,11 +78,6 @@ class TestAdd:
         assert 0.0 not in rewards
         assert rewards <= {1.0, 2.0, 3.0}
 
-    def test_fresh_priority_is_p_init_not_td(self):
-        buf = ReplayBuffer(4, p_init=2.5, state_dim=3)
-        buf.add(*transition(0.0))
-        assert buf.priority(0) == 2.5
-
     def test_default_p_init_tracks_running_max(self):
         buf = ReplayBuffer(4, eps_priority=0.01, state_dim=3)
         buf.add(*transition(0.0))
@@ -100,10 +95,21 @@ class TestAdd:
         with pytest.raises(ValueError):
             buf.add(np.zeros(3), 0, float("nan"), np.zeros(3), False)
 
+    def test_numpy_integer_action_and_bool_flag_accepted(self):
+        buf = ReplayBuffer(2, state_dim=3, n_actions=81)
+        buf.add(np.zeros(3), np.int64(80), 0.0, np.zeros(3), np.bool_(True))
+        buf.add(np.zeros(3), 3, 0.0, np.zeros(3), False)
+        assert buf.actions.tolist() == [80, 3]
+        assert buf.terminal.tolist() == [True, False]
+
     @pytest.mark.parametrize("bad", [
         (np.zeros(3), 0, 9.0, np.zeros(2), False),
         (np.full(3, np.inf), 0, 9.0, np.zeros(3), False),
         (np.zeros(3), -1, 9.0, np.zeros(3), False),
+        (np.zeros(3), 1.7, 9.0, np.zeros(3), False),
+        (np.zeros(3), True, 9.0, np.zeros(3), False),
+        (np.zeros(3), 0, 9.0, np.zeros(3), "no"),
+        (np.zeros(3), 0, 9.0, np.zeros(3), 1),
     ])
     def test_rejected_transition_writes_nothing(self, bad):
         buf = ReplayBuffer(2, state_dim=3, n_actions=81)
