@@ -10,9 +10,8 @@ command line (``cli``).
 from .agent import (BiddingTask, EpisodeStats, N_ACTIONS, STATE_DIM, TrainConfig,
                     TrainResult, action_decode, compute_targets, encode_state,
                     greedy_episode, q_values, select_action, td_error, train, warmup)
-from .forecast import (ForecastDataset, Forecaster, baseline_predict, holdout_mse,
-                       load_forecaster, make_dataset, save_forecaster, train_forecaster,
-                       train_lstm)
+from .forecast import (Forecaster, baseline_predict, holdout_mse, load_forecaster,
+                       save_forecaster, train_forecaster)
 from .harness import (ConfigError, ExperimentConfig, build_config, emit_trace,
                       parse_config_file, run_experiment, run_matrix, sweep)
 from .market import (Bid, DEFAULT_GENCOS, DemandConfig, DemandSeries, GencoParams,

@@ -177,8 +177,7 @@ class BiddingTask:
         if seed != self._estimate_seed:
             totals = np.concatenate([lead_totals, self.env.base_total + self.env.demand_values])
             windows = np.lib.stride_tricks.sliding_window_view(totals, len(lead_totals))
-            preds = self.forecaster.predict_batch_normalized(windows)
-            self._estimates = np.clip(preds, 0.0, 1.0)
+            self._estimates = self.forecaster.predict_batch_normalized(windows)
             self._estimate_seed = seed
         self._records: list[StepRecord] = []
         return encode_state(self._records, 0, self._estimates[0])

@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 from . import forecast, harness
+from .agent import VARIANTS
 from .harness import ConfigError
+from .market import RIVAL_STRATEGIES
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -15,8 +17,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
     parser.add_argument("--seeds", help="comma-separated seed list, e.g. 0,1,2")
     parser.add_argument("--learner-id", dest="learner_id", type=int, help="learning producer id")
-    parser.add_argument("--strategy", choices=["b1", "b2"], help="rival bidding strategy")
-    parser.add_argument("--variant", choices=["nfq1", "nfq2"], help="Q-network variant")
+    parser.add_argument("--strategy", choices=RIVAL_STRATEGIES, help="rival bidding strategy")
+    parser.add_argument("--variant", choices=VARIANTS, help="Q-network variant")
     parser.add_argument("--episodes", type=int, help="training episodes per seed")
     parser.add_argument("--episode-steps", dest="episode_steps", type=int,
                         help="hours per episode")

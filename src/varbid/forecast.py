@@ -1,8 +1,10 @@
 """Next-hour requirement prediction from total-quantity history.
 
-An LSTM reads the past 24 hourly totals and predicts the next hour; it is
-trained with mini-batch Adam on mean squared error over sliding windows of
-a recorded episode. A two-lag reference predictor, the average of the
+An LSTM reads the past 24 hourly totals, min-max normalized over the
+series, and predicts the next hour. ``train_forecaster`` fits it with
+mini-batch Adam on squared error over the sliding windows of a recorded
+series, keeping the last ``HOLDOUT_FRAC`` of windows out of training for
+``holdout_mse`` to score. A two-lag reference predictor, the average of the
 values one hour and one day back, provides the comparison bar.
 """
 
@@ -23,40 +25,6 @@ HOLDOUT_FRAC = 0.2  # trailing share of windows kept out of training and scored
 def holdout_split(n_windows: int) -> int:
     """Index of the first held-out window: the last HOLDOUT_FRAC, at least one."""
     return n_windows - max(1, int(round(HOLDOUT_FRAC * n_windows)))
-
-
-@dataclass
-class ForecastDataset:
-    """Sliding windows over a series, min-max normalized to [0, 1].
-
-    inputs[k] covers series[k .. k+23] and targets[k] is series[k+24];
-    lo/hi are the normalization constants for the inverse transform.
-    """
-
-    inputs: np.ndarray   # (n_samples, 24), normalized
-    targets: np.ndarray  # (n_samples,), normalized
-    lo: float
-    hi: float
-
-    def __len__(self) -> int:
-        return len(self.targets)
-
-    def denormalize(self, v):
-        return self.lo + np.asarray(v) * (self.hi - self.lo)
-
-
-def make_dataset(series) -> ForecastDataset:
-    """Split a series into stride-1 windows of 24 plus next-hour targets."""
-    values = np.asarray(series, dtype=float)
-    if values.ndim != 1 or len(values) < WINDOW + 1:
-        raise ValueError(f"series must be 1-D with >= {WINDOW + 1} values, got shape {values.shape}")
-    lo = float(values.min())
-    hi = float(values.max())
-    norm = (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
-    n = len(values) - WINDOW
-    inputs = np.lib.stride_tricks.sliding_window_view(norm, WINDOW)[:n].copy()
-    targets = norm[WINDOW:].copy()
-    return ForecastDataset(inputs=inputs, targets=targets, lo=lo, hi=hi)
 
 
 def baseline_predict(series, t: int) -> float:
@@ -97,35 +65,6 @@ class Forecaster:
         return self.lstm.forward_batch(self._normalize(windows))
 
 
-def train_lstm(dataset: ForecastDataset, units: int = 32, epochs: int = 50, seed: int = 0,
-               batch_size: int = 32, learning_rate: float = 5e-3) -> tuple[Forecaster, float]:
-    """Fit an LSTM to the dataset with mini-batch Adam on squared error.
-
-    Returns the forecaster and the final full-training-set MSE (normalized
-    scale). Raises NumericError naming the epoch if the loss goes non-finite.
-    """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    rng = np.random.default_rng(seed)
-    lstm = Lstm.random(1, units, int(rng.integers(2**31)))
-    opt = Adam(learning_rate=learning_rate)
-    x, y = dataset.inputs, dataset.targets
-    for epoch in range(epochs):
-        order = rng.permutation(len(y))
-        for start in range(0, len(y), batch_size):
-            sel = order[start:start + batch_size]
-            preds, cache = lstm._forward_batch_cache(x[sel][:, :, None])
-            err = preds - y[sel]
-            if not np.all(np.isfinite(err)):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
-            grads = lstm._backward_from_cache(cache, 2.0 * err / len(sel))
-            opt.step(lstm, grads)
-    final_mse = float(np.mean((lstm.forward_batch(x) - y) ** 2))
-    if not np.isfinite(final_mse):
-        raise NumericError(f"non-finite loss at epoch {epochs - 1}")
-    return Forecaster(lstm=lstm, lo=dataset.lo, hi=dataset.hi), final_mse
-
-
 def holdout_mse(series, forecaster: Forecaster) -> tuple[float, float]:
     """(LSTM MSE, two-lag reference MSE) on the held-out windows.
 
@@ -143,13 +82,39 @@ def holdout_mse(series, forecaster: Forecaster) -> tuple[float, float]:
 
 def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
                      batch_size: int = 32, learning_rate: float = 5e-3) -> tuple[Forecaster, float]:
-    """Fit on the windows before ``holdout_split``, keeping the scored tail unseen."""
-    dataset = make_dataset(series)
-    split = holdout_split(len(dataset))
-    train = ForecastDataset(inputs=dataset.inputs[:split], targets=dataset.targets[:split],
-                            lo=dataset.lo, hi=dataset.hi)
-    return train_lstm(train, units=units, epochs=epochs, seed=seed,
-                      batch_size=batch_size, learning_rate=learning_rate)
+    """Fit an LSTM with mini-batch Adam on the windows before ``holdout_split``.
+
+    The series is min-max normalized over its whole length; window k
+    (series[k .. k+23]) predicts series[k+24], and the scored tail stays
+    unseen. Returns the forecaster and the final training MSE (normalized
+    scale). Raises NumericError naming the epoch if the loss goes non-finite.
+    """
+    values = np.asarray(series, dtype=float)
+    if values.ndim != 1 or len(values) < WINDOW + 2 or not np.all(np.isfinite(values)):
+        raise ValueError(f"series must be 1-D and finite with >= {WINDOW + 2} values, "
+                         f"got shape {values.shape}")
+    rng = np.random.default_rng(seed)
+    lstm = Lstm.random(1, units, int(rng.integers(2**31)))
+    forecaster = Forecaster(lstm=lstm, lo=float(values.min()), hi=float(values.max()))
+    norm = forecaster._normalize(values)
+    split = holdout_split(len(values) - WINDOW)
+    x = np.lib.stride_tricks.sliding_window_view(norm, WINDOW)[:split].copy()
+    y = norm[WINDOW:WINDOW + split]
+    opt = Adam(learning_rate=learning_rate)
+    for epoch in range(epochs):
+        order = rng.permutation(split)
+        for start in range(0, split, batch_size):
+            sel = order[start:start + batch_size]
+            preds, cache = lstm._forward_batch_cache(x[sel][:, :, None])
+            err = preds - y[sel]
+            if not np.all(np.isfinite(err)):
+                raise NumericError(f"non-finite loss at epoch {epoch}")
+            grads = lstm._backward_from_cache(cache, 2.0 * err / len(sel))
+            opt.step(lstm, grads)
+    final_mse = float(np.mean((lstm.forward_batch(x) - y) ** 2))
+    if not np.isfinite(final_mse):
+        raise NumericError(f"non-finite loss at epoch {epochs - 1}")
+    return forecaster, final_mse
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,10 @@ class ExperimentConfig(TrainConfig):
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        try:
+            self.demand_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         self.learner_index()  # raises unless learner_id is in the producer table
         super().validate()
 

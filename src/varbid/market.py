@@ -22,7 +22,7 @@ earns exactly zero.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +60,8 @@ class GencoParams:
     q_max: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.c1, self.c2, self.bg, self.q_max])):
+            raise ValueError(f"genco {self.id}: c1, c2, bg and q_max must be finite")
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError(f"genco {self.id}: cost coefficients must be positive")
         if self.bg < 0 or self.q_max <= 0:
@@ -90,6 +92,10 @@ def load_gencos(path: str) -> list[GencoParams]:
                               float(r["q_max"])) for r in rows]
     if not gencos:
         raise ValueError(f"no producer rows in {path}")
+    ids = [g.id for g in gencos]
+    for i in ids:
+        if ids.count(i) > 1:
+            raise ValueError(f"producer id {i} repeated in {path}")
     return gencos
 
 
@@ -187,7 +193,7 @@ def clear_market(bids, demand: float, gencos) -> MarketOutcome:
     Raises InfeasibleDemand (carrying the deliverable maximum) when the
     requirement exceeds total incremental capacity.
     """
-    if demand < 0:
+    if not demand >= 0:  # also catches NaN
         raise ValueError(f"requirement must be nonnegative, got {demand}")
     if len(bids) != len(gencos):
         raise ValueError(f"{len(bids)} bids for {len(gencos)} producers")
@@ -219,7 +225,7 @@ def clear_market_batch(b1: np.ndarray, b2: np.ndarray, qmax: np.ndarray,
     T, n = b1.shape
     cap = np.broadcast_to(np.asarray(qmax, dtype=float), (T, n))
     total_cap = cap.sum(axis=1)
-    if np.any(demand < 0):
+    if not np.all(demand >= 0):  # also catches NaN
         raise ValueError("requirement must be nonnegative")
     bad = demand > total_cap + 1e-12
     if np.any(bad):
@@ -257,6 +263,16 @@ class DemandConfig:
     daily_amplitude: float = 0.45
     weekly_amplitude: float = 0.15
     noise_amplitude: float = 0.05
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name}: must be finite and >= 0, got {value}")
+        if self.peak_units == 0:
+            raise ValueError("peak_units: must be positive")
+        if not 0 < self.participation <= 1:
+            raise ValueError(f"participation: must be in (0, 1], got {self.participation}")
 
 
 @dataclass

@@ -1,9 +1,13 @@
-"""The benchmark's tracer still finds every varbid name it wraps.
+"""The benchmark still runs against varbid.
 
-perfbench/spans.py replaces functions and methods by name; a rename or
-removal in varbid would otherwise surface only in traced benchmark runs.
+perfbench/spans.py replaces functions and methods by name, and
+perfbench/selftest.py checks the benchmark's checks on varbid's outputs; a
+library change that breaks either would otherwise surface only in benchmark
+runs.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import varbid
@@ -43,3 +47,11 @@ def test_forecaster_epochs_counted_from_keyword(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.counts["forecast.epochs"] == 3
+
+
+def test_benchmark_selftest_passes():
+    # Writes only under the git-ignored runs/perfbench/selftest.
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.rstrip().endswith("13 passed, 0 failed")

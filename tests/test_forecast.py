@@ -4,46 +4,61 @@ import json
 import numpy as np
 import pytest
 
-from varbid.forecast import (Forecaster, baseline_predict, holdout_mse,
-                             load_forecaster, make_dataset, save_forecaster,
-                             train_forecaster, train_lstm, save_series_csv)
+from varbid.forecast import (WINDOW, Forecaster, baseline_predict, holdout_mse, holdout_split,
+                             load_forecaster, save_forecaster, train_forecaster,
+                             save_series_csv)
 from varbid.market import DemandConfig, demand_profile, simulate_total_quantity
 from varbid.nn import Lstm, ShapeError
 
 
+def untrained_mse(fc, series):
+    """Training MSE rebuilt apart from train_forecaster: norm[k:k+24] -> norm[k+24]."""
+    values = np.asarray(series, dtype=float)
+    norm = (values - values.min()) / (values.max() - values.min())
+    split = holdout_split(len(values) - WINDOW)
+    x = np.array([norm[k:k + WINDOW] for k in range(split)])
+    y = np.array([norm[k + WINDOW] for k in range(split)])
+    return float(np.mean((fc.lstm.forward_batch(x) - y) ** 2))
+
+
 class TestMakeDataset:
+    """The training windows train_forecaster builds from a series."""
+
     def test_sample_count(self):
-        ds = make_dataset(np.linspace(0, 1, 720))
-        assert len(ds) == 696
+        for steps in (26, 60, 720):  # 1, 29 and 557 training windows
+            series = demand_profile(max(steps, 49), seed=1).values[:steps]
+            fc, mse = train_forecaster(series, units=3, epochs=0, seed=0)
+            assert mse == untrained_mse(fc, series)
 
     def test_constant_series_collapses(self):
-        ds = make_dataset(np.full(30, 3.3))
-        assert np.all(ds.inputs == ds.inputs[0])
-        assert np.all(ds.targets == ds.targets[0])
+        series = np.full(30, 3.3)
+        fc, mse = train_forecaster(series, units=3, epochs=0, seed=0)
+        assert np.array_equal(fc._normalize(series), np.zeros(30))
+        zeros = np.zeros((holdout_split(30 - WINDOW), WINDOW))
+        assert mse == float(np.mean(fc.lstm.forward_batch(zeros) ** 2))
 
     def test_window_alignment(self):
-        series = np.arange(26, dtype=float)
-        ds = make_dataset(series)
-        assert np.allclose(ds.denormalize(ds.inputs[0]), np.arange(24, dtype=float),
-                           rtol=0, atol=1e-12)
-        assert ds.denormalize(ds.targets[0]) == pytest.approx(24.0)
+        series = demand_profile(120, seed=4).values
+        fc, mse = train_forecaster(series, units=5, epochs=0, seed=2)
+        assert mse == untrained_mse(fc, series)
 
     def test_short_series_rejected(self):
-        with pytest.raises(ValueError):
-            make_dataset(np.zeros(24))
+        for series in (np.zeros(25), np.zeros((30, 2))):
+            with pytest.raises(ValueError, match="1-D and finite with >= 26 values"):
+                train_forecaster(series, epochs=0)
 
     def test_windows_reconstruct_series_losslessly(self):
         series = demand_profile(120, seed=4).values
-        ds = make_dataset(series)
-        rebuilt = ds.denormalize(np.concatenate([ds.inputs[0], ds.targets]))
+        fc, _ = train_forecaster(series, units=3, epochs=0, seed=0)
+        rebuilt = fc.lo + fc._normalize(series) * (fc.hi - fc.lo)
         assert np.allclose(rebuilt, series, rtol=0, atol=1e-12)
 
     def test_normalization_round_trip(self):
         series = demand_profile(100, seed=2).values
-        ds = make_dataset(series)
-        span = ds.hi - ds.lo
-        for v in (series.min(), series.mean(), series.max()):
-            assert ds.denormalize((v - ds.lo) / span) == pytest.approx(v, abs=1e-12)
+        fc, _ = train_forecaster(series, units=3, epochs=0, seed=0)
+        assert (fc.lo, fc.hi) == (series.min(), series.max())
+        norm = fc._normalize(series)
+        assert norm.min() == 0.0 and norm.max() == 1.0
 
 
 class TestBaselinePredict:
@@ -63,20 +78,39 @@ class TestBaselinePredict:
 
 class TestTrainLstm:
     def test_reference_unit_count_shapes_hidden_state(self):
-        ds = make_dataset(demand_profile(60, seed=0).values)
-        fc, _ = train_lstm(ds, units=100, epochs=1, seed=0)
+        fc, _ = train_forecaster(demand_profile(60, seed=0).values, units=100, epochs=1, seed=0)
         assert fc.lstm.units == 100
 
     def test_constant_series_fits_by_bias(self):
-        ds = make_dataset(np.full(80, 5.0))
-        fc, mse = train_lstm(ds, units=4, epochs=30, seed=1)
+        fc, mse = train_forecaster(np.full(80, 5.0), units=4, epochs=30, seed=1)
         assert mse < 1e-4
+        assert fc.predict(np.full(24, 5.0)) == 5.0
 
     def test_learns_periodic_series_better_than_two_lag(self):
         series = simulate_total_quantity(seed=3, steps=480)
         fc, _ = train_forecaster(series, units=16, epochs=30, seed=0)
         lstm_mse, ref_mse = holdout_mse(series, fc)
         assert lstm_mse <= ref_mse
+
+    def test_non_finite_series_rejected(self):
+        series = demand_profile(60, seed=0).values
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                train_forecaster(np.r_[series, bad], epochs=0)
+
+    def test_scored_tail_unseen(self):
+        series = demand_profile(200, seed=6).values
+        lo, hi = series.min(), series.max()
+        first_scored = holdout_split(len(series) - WINDOW) + WINDOW
+        moved = series.copy()
+        n = len(series) - first_scored
+        moved[first_scored:] = 0.5 * (lo + hi) + 0.25 * (hi - lo) * np.sin(np.arange(n))
+        assert (moved.min(), moved.max()) == (lo, hi)
+        assert not np.array_equal(moved, series)
+        fc, mse = train_forecaster(series, units=4, epochs=3, seed=0)
+        fc_moved, mse_moved = train_forecaster(moved, units=4, epochs=3, seed=0)
+        assert mse_moved == mse
+        assert all(np.array_equal(a, b) for a, b in zip(fc.lstm.params(), fc_moved.lstm.params()))
 
 
 class TestPredict:

@@ -70,7 +70,9 @@ class TestConfigParsing:
         ("buffer_capacity", 0), ("forced_action_index", 81), ("hidden_sizes", (0,)),
         ("hidden_sizes", (16, -4)), ("warmup_size", -3), ("episode_steps", 10),
         ("forecaster_units", 0), ("forecaster_epochs", -1), ("forecaster_batch_size", 0),
-        ("forecaster_series_steps", 10), ("forecaster_learning_rate", -1.0)])
+        ("forecaster_series_steps", 10), ("forecaster_learning_rate", -1.0),
+        ("peak_units", float("nan")), ("participation", -0.5), ("participation", 1.5),
+        ("daily_amplitude", float("inf")), ("noise_amplitude", -0.3)])
     def test_train_field_validation_surfaces(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}\b"):
             tiny_config(tmp_path, **{key: value})
@@ -314,7 +316,11 @@ class TestCli:
         "id,c1,c2,bg,q_max\n1,0.73,x,0.075,0.5\n",
         "id,c1,c2,bg,q_max\n1,0.73,0.0,0.075,0.5\n",
         "id,c1,c2,bg,q_max\n",
-    ], ids=["no-c2-column", "malformed-number", "zero-cost", "no-rows"])
+        "id,c1,c2,bg,q_max\n1,nan,0.30,0.075,0.5\n",
+        "id,c1,c2,bg,q_max\n1,0.73,0.30,0.075,0.5\n2,0.68,0.39,0.03,inf\n",
+        "id,c1,c2,bg,q_max\n1,0.73,0.30,0.075,0.5\n2,0.68,0.39,0.03,0.5\n2,0.75,0.43,0.03,0.5\n",
+    ], ids=["no-c2-column", "malformed-number", "zero-cost", "no-rows", "nan-cost",
+            "inf-capacity", "repeated-id"])
     def test_bad_genco_table_reports_error(self, tmp_path, capsys, table):
         path = tmp_path / "gencos.csv"
         path.write_text(table)

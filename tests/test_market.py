@@ -186,6 +186,14 @@ class TestClearMarket:
             clear_market([Bid(0.5, 0.5)], 0.6, gencos)
         assert err.value.max_deliverable == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("demand", [-0.1, float("nan")])
+    def test_negative_or_nan_requirement_rejected(self, demand):
+        gencos = [GencoParams(1, 0.5, 0.5, 0.0, 0.5)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            clear_market([Bid(0.5, 0.5)], demand, gencos)
+        with pytest.raises(ValueError, match="nonnegative"):
+            clear_market_batch([[0.5]], [[0.5]], [0.5], [0.2, demand])
+
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(31)
         gencos = DEFAULT_GENCOS
@@ -474,3 +482,14 @@ class TestGencoTable:
             GencoParams(1, 0.0, 0.3, 0.1, 0.5)
         with pytest.raises(ValueError):
             GencoParams(1, 0.5, 0.3, 0.1, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            GencoParams(1, float("nan"), 0.3, 0.1, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            GencoParams(2, 0.5, 0.3, 0.1, float("inf"))
+
+    def test_repeated_id_rejected_by_name(self, tmp_path):
+        path = tmp_path / "gencos.csv"
+        path.write_text("id,c1,c2,bg,q_max\n1,0.73,0.30,0.075,0.5\n"
+                        "2,0.68,0.39,0.03,0.5\n2,0.75,0.43,0.03,0.5\n")
+        with pytest.raises(ValueError, match="producer id 2 repeated"):
+            load_gencos(str(path))
