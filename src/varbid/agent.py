@@ -394,7 +394,7 @@ def train(task: Task, config: TrainConfig, seed: int) -> TrainResult:
                 local, target, buffer, opt, config, n_actions, rng_per,
                 context=f"iteration {iteration}, epsilon {epsilon:.4g}, gamma {config.gamma}")
             episode_tds.append(mean_abs_td)
-            target = soft_update(target, local, config.tau)
+            soft_update(target, local, config.tau)
     return TrainResult(episodes=episodes, local=local, target=target)
 
 

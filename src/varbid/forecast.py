@@ -89,6 +89,12 @@ def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
     unseen. Returns the forecaster and the final training MSE (normalized
     scale). Raises NumericError naming the epoch if the loss goes non-finite.
     """
+    for ok, message in ((units >= 1, f"units must be >= 1, got {units}"),
+                        (epochs >= 0, f"epochs must be >= 0, got {epochs}"),
+                        (batch_size >= 1, f"batch_size must be >= 1, got {batch_size}"),
+                        (learning_rate > 0, f"learning_rate must be positive, got {learning_rate}")):
+        if not ok:
+            raise ValueError(message)
     values = np.asarray(series, dtype=float)
     if values.ndim != 1 or len(values) < WINDOW + 2 or not np.all(np.isfinite(values)):
         raise ValueError(f"series must be 1-D and finite with >= {WINDOW + 2} values, "
@@ -147,6 +153,8 @@ def load_forecaster(path: str) -> Forecaster:
                 f"{path}: array {k} has {vals.size} values, expected {p.size} for shape "
                 f"{p.shape}; the LSTM layout is [w (4u, in + u), b (4u), w_out (u), b_out (1)]")
         p[...] = vals.reshape(p.shape)
+    if not np.all(np.isfinite(lstm.theta)):
+        raise ValueError(f"{path}: non-finite parameter value")
     return Forecaster(lstm=lstm, lo=blob["lo"], hi=blob["hi"])
 
 

@@ -5,13 +5,18 @@ layer) and a single-layer LSTM with hand-derived backpropagation, Adam and
 Rprop optimizers, soft parameter blending for target networks, a
 central-finite-difference gradient checker, and a JSON checkpoint format.
 
-All arithmetic is float64; the gradient checks need the headroom.
+Each network copies its arrays into one float64 vector ``theta`` and keeps
+them as views into it, listed in ``theta`` order by ``params()``. Backward
+passes return one gradient vector in that order, so the optimizers, the
+soft update and the gradient checker each work on one vector. All
+arithmetic is float64; the gradient checks need the headroom.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -30,45 +35,51 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
-def _check_grads(params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    """Raise unless there is one finite gradient of matching shape per parameter."""
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(grads)} gradient arrays for {len(params)} parameter arrays")
-    for k, (p, g) in enumerate(zip(params, grads)):
-        if not np.all(np.isfinite(g)):
-            bad = np.argwhere(~np.isfinite(g))[0]
-            raise NumericError(
-                f"non-finite gradient in array {k} at index {tuple(int(i) for i in bad)}"
-            )
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive slices of ``flat`` reshaped to ``shapes``: views, not copies."""
+    ends = itertools.accumulate(math.prod(shape) for shape in shapes)
+    return [flat[end - math.prod(shape):end].reshape(shape) for end, shape in zip(ends, shapes)]
+
+
+def _pack(net, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Copy ``arrays`` into a new ``net.theta``; returns the views that replace them."""
+    net.shapes = tuple(a.shape for a in arrays)
+    net.theta = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+    return _views(net.theta, net.shapes)
+
+
+def _check_grad(theta: np.ndarray, grad: np.ndarray) -> None:
+    """Raise unless ``grad`` is a finite vector shaped like ``theta``."""
+    if np.shape(grad) != theta.shape:
+        raise ShapeError(f"gradient shape {np.shape(grad)} != parameter shape {theta.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise NumericError(f"non-finite gradient at index {int(np.argmin(np.isfinite(grad)))}")
 
 
 # ---------------------------------------------------------------------------
 # Dense network
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Mlp:
     """Fully connected network: ReLU hidden layers and a linear output layer.
 
     ``weights[k]`` has shape (out_k, in_k); adjacent layers must chain. The
-    output layer is linear, so predictions are unbounded.
+    output layer is linear, so predictions are unbounded. ``theta`` holds
+    W1, b1, W2, b2, ... back to back; the arrays given are copied into it.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def __post_init__(self):
-        if not self.weights or len(self.weights) != len(self.biases):
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        if not weights or len(weights) != len(biases):
             raise ShapeError("need one (weight, bias) pair per layer")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for k, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ShapeError(f"layer {k}: weight {w.shape} / bias {b.shape} mismatch")
-            if k > 0 and w.shape[1] != self.weights[k - 1].shape[0]:
+            if k > 0 and w.shape[1] != weights[k - 1].shape[0]:
                 raise ShapeError(
-                    f"layer {k} expects {w.shape[1]} inputs, got {self.weights[k - 1].shape[0]}"
+                    f"layer {k} expects {w.shape[1]} inputs, got {weights[k - 1].shape[0]}"
                 )
+        views = _pack(self, [p for pair in zip(weights, biases) for p in pair])
+        self.weights, self.biases = views[0::2], views[1::2]
 
     # -- construction -------------------------------------------------------
 
@@ -103,11 +114,11 @@ class Mlp:
         return self.weights[-1].shape[0]
 
     def params(self) -> list[np.ndarray]:
-        """Live parameter arrays in a fixed order (W1, b1, W2, b2, ...)."""
+        """Views into ``theta`` in its order (W1, b1, W2, b2, ...)."""
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return Mlp(self.weights, self.biases)
 
     # -- forward / backward -------------------------------------------------
 
@@ -126,33 +137,20 @@ class Mlp:
             a = np.maximum(a @ w.T + b, 0.0)
             layer_inputs.append(a)
         out = a @ self.weights[-1].T + self.biases[-1]
-        return (out[0] if single else out), (layer_inputs, single)
+        return (out[0] if single else out), layer_inputs
 
-    def backward(self, x: np.ndarray, output_gradient: np.ndarray) -> list[np.ndarray]:
-        """Gradients of <output, output_gradient> w.r.t. every parameter.
-
-        For batched inputs the per-sample inner products are summed.
-        Returns arrays in ``params()`` order.
-        """
-        _, cache = self._forward_cache(np.asarray(x, dtype=float))
-        g = np.asarray(output_gradient, dtype=float)
-        if cache[1]:  # single vector
-            g = g[None, :]
-        if g.shape[-1] != self.out_dim:
-            raise ShapeError(f"output gradient has {g.shape[-1]} entries, expected {self.out_dim}")
-        return self._backward_from_cache(cache, g)
-
-    def _backward_from_cache(self, cache, g: np.ndarray) -> list[np.ndarray]:
-        layer_inputs, _ = cache
-        grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.weights))
+    def _backward_from_cache(self, layer_inputs, g: np.ndarray) -> np.ndarray:
+        """Gradient of the row-summed <output, g> for a (batch, out) g, laid out like theta."""
+        grad = np.empty_like(self.theta)
+        grads = _views(grad, self.shapes)
         d = g
         for k in range(len(self.weights) - 1, -1, -1):
-            grads[2 * k] = d.T @ layer_inputs[k]
-            grads[2 * k + 1] = d.sum(axis=0)
+            grads[2 * k][...] = d.T @ layer_inputs[k]
+            grads[2 * k + 1][...] = d.sum(axis=0)
             if k > 0:
                 # relu(z) > 0 exactly where z > 0; the subgradient at 0 is 0.
                 d = (d @ self.weights[k]) * (layer_inputs[k] > 0.0)
-        return grads
+        return grad
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +164,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-@dataclass
 class Lstm:
     """Single-layer LSTM with a dense scalar head.
 
@@ -184,20 +181,18 @@ class Lstm:
     pre-activation values of the first 3u rows and one tanh the last u.
     Each block's first ``in`` columns hold W and its last u columns hold U:
     W_f is ``w[:u, :in]``, U_i is ``w[u:2u, in:]``, b_g is ``b[3u:]``.
+    ``theta`` holds w, b, w_out, b_out back to back; the arrays given are
+    copied into it.
     """
 
-    w: np.ndarray
-    b: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    def __post_init__(self):
-        u = self.w_out.shape[0] if self.w_out.ndim == 1 else 0
-        if (u < 1 or self.w.ndim != 2 or self.w.shape[0] != 4 * u or self.w.shape[1] <= u
-                or self.b.shape != (4 * u,) or self.b_out.shape != (1,)):
+    def __init__(self, w: np.ndarray, b: np.ndarray, w_out: np.ndarray, b_out: np.ndarray):
+        u = w_out.shape[0] if w_out.ndim == 1 else 0
+        if (u < 1 or w.ndim != 2 or w.shape[0] != 4 * u or w.shape[1] <= u
+                or b.shape != (4 * u,) or b_out.shape != (1,)):
             raise ShapeError(
-                f"w {self.w.shape}, b {self.b.shape}, w_out {self.w_out.shape}, b_out "
-                f"{self.b_out.shape} do not fit [w (4u, in + u), b (4u), w_out (u), b_out (1)]")
+                f"w {w.shape}, b {b.shape}, w_out {w_out.shape}, b_out "
+                f"{b_out.shape} do not fit [w (4u, in + u), b (4u), w_out (u), b_out (1)]")
+        self.w, self.b, self.w_out, self.b_out = _pack(self, [w, b, w_out, b_out])
 
     @classmethod
     def random(cls, input_dim: int, units: int, seed: int) -> "Lstm":
@@ -224,10 +219,11 @@ class Lstm:
         return self.w.shape[1] - self.units
 
     def params(self) -> list[np.ndarray]:
+        """Views into ``theta`` in its order (w, b, w_out, b_out)."""
         return [self.w, self.b, self.w_out, self.b_out]
 
     def copy(self) -> "Lstm":
-        return Lstm(*[p.copy() for p in self.params()])
+        return Lstm(*self.params())
 
     # -- forward ------------------------------------------------------------
 
@@ -240,14 +236,6 @@ class Lstm:
         if x.shape[1] == 0:
             raise ShapeError("empty sequence")
         return x
-
-    def forward(self, sequence: np.ndarray) -> tuple[np.ndarray, float]:
-        """Run one sequence; returns (final hidden state, scalar prediction)."""
-        seq = np.asarray(sequence, dtype=float)
-        if seq.ndim == 1:
-            seq = seq[:, None]
-        h = self._hidden(self._coerce_batch(seq[None, :, :]))
-        return h[0], float(self._head(h)[0])
 
     def forward_batch(self, sequences: np.ndarray) -> np.ndarray:
         """Predictions for a (batch, steps[, input_dim]) array of sequences."""
@@ -284,15 +272,8 @@ class Lstm:
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, sequence: np.ndarray, loss_gradient: float) -> list[np.ndarray]:
-        """Backpropagation through time of prediction * loss_gradient."""
-        seq = np.asarray(sequence, dtype=float)
-        if seq.ndim == 1:
-            seq = seq[:, None]
-        _, cache = self._forward_batch_cache(seq[None, :, :])
-        return self._backward_from_cache(cache, np.array([float(loss_gradient)]))
-
-    def _backward_from_cache(self, cache, dy: np.ndarray) -> list[np.ndarray]:
+    def _backward_from_cache(self, cache, dy: np.ndarray) -> np.ndarray:
+        """BPTT of the row-summed prediction * dy as one vector laid out like ``theta``."""
         x, h_last, per_step = cache
         n, steps, d = x.shape
         u = self.units
@@ -315,8 +296,13 @@ class Lstm:
         # Each weight row sees [x_t, h_prev] over every (step, row) pair.
         xh = np.concatenate([x.transpose(1, 0, 2), np.stack([p[0] for p in per_step])], axis=2)
         dz = dz.reshape(steps * n, 4 * u)
-        return [dz.T @ xh.reshape(steps * n, d + u), dz.sum(axis=0),
-                dy @ h_last, dy.sum(keepdims=True)]
+        grad = np.empty_like(self.theta)
+        dw, db, dw_out, db_out = _views(grad, self.shapes)
+        dw[...] = dz.T @ xh.reshape(steps * n, d + u)
+        db[...] = dz.sum(axis=0)
+        dw_out[...] = dy @ h_last
+        db_out[...] = dy.sum()
+        return grad
 
 
 # ---------------------------------------------------------------------------
@@ -333,24 +319,25 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
-    def step(self, net, grads: list[np.ndarray]) -> None:
-        params = net.params()
-        _check_grads(params, grads)
+    def step(self, net, grad: np.ndarray) -> None:
+        """One update of ``net.theta`` from a gradient laid out like it."""
+        theta = net.theta
+        _check_grad(theta, grad)
         if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+            self._m = np.zeros_like(theta)
+            self._v = np.zeros_like(theta)
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        theta -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 class Rprop:
@@ -367,38 +354,35 @@ class Rprop:
         self.shrink = shrink
         self.step_min = step_min
         self.step_max = step_max
-        self._steps: list[np.ndarray] | None = None
-        self._prev: list[np.ndarray] | None = None
+        self._steps: np.ndarray | None = None
+        self._prev: np.ndarray | None = None
 
-    def step(self, net, grads: list[np.ndarray]) -> None:
-        params = net.params()
-        _check_grads(params, grads)
+    def step(self, net, grad: np.ndarray) -> None:
+        """One update of ``net.theta`` from a gradient laid out like it."""
+        theta = net.theta
+        _check_grad(theta, grad)
         if self._steps is None:
-            self._steps = [np.full_like(p, self.step_init) for p in params]
-            self._prev = [np.zeros_like(p) for p in params]
-        for k, (p, g) in enumerate(zip(params, grads)):
-            prod = self._prev[k] * g
-            steps = self._steps[k]
-            steps[prod > 0] = np.minimum(steps[prod > 0] * self.grow, self.step_max)
-            steps[prod < 0] = np.maximum(steps[prod < 0] * self.shrink, self.step_min)
-            g_eff = np.where(prod < 0, 0.0, g)
-            p -= np.sign(g_eff) * steps
-            self._prev[k] = g_eff
+            self._steps = np.full_like(theta, self.step_init)
+            self._prev = np.zeros_like(theta)
+        prod = self._prev * grad
+        steps = self._steps
+        steps[prod > 0] = np.minimum(steps[prod > 0] * self.grow, self.step_max)
+        steps[prod < 0] = np.maximum(steps[prod < 0] * self.shrink, self.step_min)
+        self._prev = np.where(prod < 0, 0.0, grad)
+        theta -= np.sign(self._prev) * steps
 
 
 def soft_update(target, local, tau: float):
-    """Blend target parameters toward local: new = (1 - tau) * target + tau * local."""
+    """Blend target toward local in place, (1 - tau) * target + tau * local; returns target."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     if type(target) is not type(local):
         raise ShapeError("target and local networks have different kinds")
-    blended = target.copy()
-    for pt, pl in zip(blended.params(), local.params()):
-        if pt.shape != pl.shape:
-            raise ShapeError(f"parameter shapes differ: {pt.shape} vs {pl.shape}")
-        pt *= 1.0 - tau
-        pt += tau * pl
-    return blended
+    if target.shapes != local.shapes:
+        raise ShapeError(f"parameter shapes differ: {target.shapes} vs {local.shapes}")
+    target.theta *= 1.0 - tau
+    target.theta += tau * local.theta
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -409,37 +393,39 @@ def grad_check(net, inputs: np.ndarray, epsilon: float = 1e-5,
                probe: np.ndarray | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    For an ``Mlp`` the checked scalar is <probe, forward(inputs)> (probe
-    defaults to all ones); for an ``Lstm`` it is the scalar prediction.
-    Relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
+    ``inputs`` is one input vector (``Mlp``) or one sequence (``Lstm``). The
+    checked scalar is <probe, output> with probe defaulting to all ones; for
+    an ``Lstm`` the output is the scalar prediction. Relative error uses
+    max(|analytic|, |numeric|, 1e-8) as denominator.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    x = np.asarray(inputs, dtype=float)[None]
     if isinstance(net, Mlp):
-        if probe is None:
-            probe = np.ones(net.out_dim)
-        evaluate = lambda: float(np.dot(probe, net.forward(inputs)))
-        analytic = net.backward(inputs, probe)
+        out, cache = net._forward_cache(x)
+        run = net.forward
     elif isinstance(net, Lstm):
-        evaluate = lambda: net.forward(inputs)[1]
-        analytic = net.backward(inputs, 1.0)
+        out, cache = net._forward_batch_cache(x)
+        run = net.forward_batch
     else:
         raise TypeError(f"cannot gradient-check {type(net).__name__}")
+    g = np.ones(out.shape[1:]) if probe is None else np.asarray(probe, dtype=float)
+    if g.shape != out.shape[1:]:
+        raise ShapeError(f"probe shape {g.shape} != output shape {out.shape[1:]}")
+    analytic = net._backward_from_cache(cache, g[None])
 
+    theta = net.theta
     worst = 0.0
-    for p, g in zip(net.params(), analytic):
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + epsilon
-            f_plus = evaluate()
-            flat[idx] = orig - epsilon
-            f_minus = evaluate()
-            flat[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            denom = max(abs(gflat[idx]), abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[idx] - numeric) / denom)
+    for idx in range(theta.size):
+        orig = theta[idx]
+        theta[idx] = orig + epsilon
+        f_plus = float(np.sum(g * run(x)))
+        theta[idx] = orig - epsilon
+        f_minus = float(np.sum(g * run(x)))
+        theta[idx] = orig
+        numeric = (f_plus - f_minus) / (2.0 * epsilon)
+        denom = max(abs(analytic[idx]), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic[idx] - numeric) / denom)
     return worst
 
 
@@ -479,4 +465,6 @@ def load_network(path: str):
         if vals.size != p.size:
             raise ShapeError(f"array size {vals.size} != expected {p.size}")
         p[...] = vals.reshape(p.shape)
+    if not np.all(np.isfinite(net.theta)):
+        raise ValueError(f"{path}: non-finite parameter value")
     return net

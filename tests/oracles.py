@@ -1,8 +1,9 @@
 """Independent references used by the test suite only.
 
 Brute-force searches, exact value iteration, the bisection dispatch the
-library used before its breakpoint walk, and the per-hour rival bids the
-environment draws as arrays.
+library used before its breakpoint walk, the per-hour rival bids the
+environment draws as arrays, and the per-array optimizers, soft update and
+dense backward pass the library used before its flat parameter vector.
 """
 
 import numpy as np
@@ -199,3 +200,72 @@ def value_iteration(rewards, transitions, gamma, sweeps=5000):
                          for a in actions) for s in states}
     return [int(np.argmax([rewards[(s, a)] + gamma * values[transitions[(s, a)]]
                            for a in actions])) for s in states]
+
+
+class AdamReference:
+    """Adam applied array by array to a list of parameter arrays, in place."""
+
+    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.t = 0
+        self.m = self.v = None
+
+    def step(self, params, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+class RpropReference:
+    """Rprop applied array by array to a list of parameter arrays, in place."""
+
+    def __init__(self, step_init=0.1, grow=1.2, shrink=0.5, step_min=1e-6, step_max=50.0):
+        self.step_init, self.grow, self.shrink = step_init, grow, shrink
+        self.step_min, self.step_max = step_min, step_max
+        self.steps = self.prev = None
+
+    def step(self, params, grads):
+        if self.steps is None:
+            self.steps = [np.full_like(p, self.step_init) for p in params]
+            self.prev = [np.zeros_like(p) for p in params]
+        for k, (p, g) in enumerate(zip(params, grads)):
+            prod = self.prev[k] * g
+            steps = self.steps[k]
+            steps[prod > 0] = np.minimum(steps[prod > 0] * self.grow, self.step_max)
+            steps[prod < 0] = np.maximum(steps[prod < 0] * self.shrink, self.step_min)
+            g_eff = np.where(prod < 0, 0.0, g)
+            p -= np.sign(g_eff) * steps
+            self.prev[k] = g_eff
+
+
+def soft_update_reference(target, local, tau):
+    """New arrays (1 - tau) * target + tau * local, blended array by array."""
+    blended = [p.copy() for p in target]
+    for pt, pl in zip(blended, local):
+        pt *= 1.0 - tau
+        pt += tau * pl
+    return blended
+
+
+def mlp_backward_reference(weights, biases, x, g):
+    """Per-array gradients (W1, b1, W2, b2, ...) of the row-summed <mlp(x), g>."""
+    layer_inputs = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        layer_inputs.append(np.maximum(layer_inputs[-1] @ w.T + b, 0.0))
+    grads = [None] * (2 * len(weights))
+    d = g
+    for k in range(len(weights) - 1, -1, -1):
+        grads[2 * k] = d.T @ layer_inputs[k]
+        grads[2 * k + 1] = d.sum(axis=0)
+        if k > 0:
+            d = (d @ weights[k]) * (layer_inputs[k] > 0.0)
+    return grads

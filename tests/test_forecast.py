@@ -98,6 +98,13 @@ class TestTrainLstm:
             with pytest.raises(ValueError, match="finite"):
                 train_forecaster(np.r_[series, bad], epochs=0)
 
+    @pytest.mark.parametrize("name, value", [("units", 0), ("epochs", -1), ("batch_size", 0),
+                                             ("learning_rate", 0.0), ("learning_rate", -1.0),
+                                             ("learning_rate", float("nan"))])
+    def test_bad_hyperparameter_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            train_forecaster(demand_profile(60, seed=0).values, **{name: value})
+
     def test_scored_tail_unseen(self):
         series = demand_profile(200, seed=6).values
         lo, hi = series.min(), series.max()
@@ -158,6 +165,18 @@ class TestPersistence:
         path.write_text(json.dumps({"kind": "forecaster", "lo": 0.0, "hi": 1.0, "units": u,
                                     "input_dim": 1, "arrays": arrays}))
         with pytest.raises(ShapeError, match=r"array 0 has 4 values, expected 80.*4u"):
+            load_forecaster(str(path))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_checkpoint_rejected(self, tmp_path, bad):
+        fc = Forecaster(lstm=Lstm.random(1, 3, seed=0), lo=0.0, hi=1.0)
+        path = tmp_path / "fc.json"
+        save_forecaster(fc, str(path))
+        blob = json.loads(path.read_text())
+        blob["arrays"][0][2] = float(bad)
+        path.write_text(json.dumps(blob))
+        assert bad in path.read_text()
+        with pytest.raises(ValueError, match=f"{path}: non-finite"):
             load_forecaster(str(path))
 
     def test_series_csv_round_trip(self, tmp_path):

@@ -3,8 +3,28 @@ import json
 import numpy as np
 import pytest
 
-from varbid.nn import (Adam, Lstm, Mlp, NumericError, Rprop, ShapeError, _sigmoid,
+from oracles import (AdamReference, RpropReference, mlp_backward_reference,
+                     soft_update_reference)
+from varbid.nn import (Adam, Lstm, Mlp, NumericError, Rprop, ShapeError, _sigmoid, _views,
                        grad_check, load_network, save_network, soft_update)
+
+
+def mlp_grads(net, x, g):
+    """Per-array views of the batch-path gradient of <forward(x), g>."""
+    _, cache = net._forward_cache(np.atleast_2d(x))
+    return _views(net._backward_from_cache(cache, np.atleast_2d(g)), net.shapes)
+
+
+def lstm_grads(lstm, seq, dy):
+    """Per-array views of the BPTT gradient of prediction * dy for one sequence."""
+    _, cache = lstm._forward_batch_cache(np.asarray(seq, dtype=float)[None])
+    return _views(lstm._backward_from_cache(cache, np.array([dy])), lstm.shapes)
+
+
+def lstm_run(lstm, seq):
+    """(final hidden state, prediction) for one sequence through the batch path."""
+    h = lstm._hidden(lstm._coerce_batch(np.asarray(seq, dtype=float)[None]))
+    return h[0], float(lstm._head(h)[0])
 
 
 def random_input_away_from_kinks(net, rng, margin=1e-3):
@@ -96,14 +116,14 @@ class TestMlpBackward:
         net = Mlp.zeros([3, 2])
         x = np.array([1.0, 2.0, -1.0])
         g = np.array([0.5, -1.5])
-        grads = net.backward(x, g)
+        grads = mlp_grads(net, x, g)
         assert np.allclose(grads[0], np.outer(g, x))
         assert np.allclose(grads[1], g)
 
     def test_dead_relu_blocks_gradient(self):
         # One hidden unit forced negative: its incoming weights get no gradient.
         net = Mlp([np.array([[1.0], [-1.0]]), np.ones((1, 2))], [np.zeros(2), np.zeros(1)])
-        grads = net.backward(np.array([2.0]), np.array([1.0]))
+        grads = mlp_grads(net, np.array([2.0]), np.array([1.0]))
         assert grads[0][0, 0] != 0.0
         assert grads[0][1, 0] == 0.0
 
@@ -119,7 +139,7 @@ class TestMlpBackward:
         net = Mlp.random([5, 7, 6, 3], seed=8)
         x = np.stack([random_input_away_from_kinks(net, rng) for _ in range(6)])
         probe = rng.normal(size=(6, 3))
-        analytic = net.backward(x, probe)
+        analytic = mlp_grads(net, x, probe)
         eps = 1e-5
         for p, g in zip(net.params(), analytic):
             numeric = np.empty_like(p)
@@ -136,7 +156,7 @@ class TestMlpBackward:
     def test_output_gradient_dimension_checked(self):
         net = Mlp.random([4, 3], seed=0)
         with pytest.raises(ShapeError):
-            net.backward(np.zeros(4), np.zeros(2))
+            grad_check(net, np.zeros(4), probe=np.zeros(2))
 
 
 class TestSigmoid:
@@ -233,7 +253,7 @@ class TestLstm:
         x = rng.normal(size=(batch, 24, 1))
         h_ref, pred_ref = per_gate_reference(lstm, x)
         assert np.abs(lstm.forward_batch(x) - pred_ref).max() <= 1e-14
-        hidden, pred = lstm.forward(x[0])
+        hidden, pred = lstm_run(lstm, x[0])
         assert np.abs(hidden - h_ref[0]).max() <= 1e-14
         assert abs(pred - pred_ref[0]) <= 1e-14
 
@@ -247,7 +267,7 @@ class TestLstm:
     def test_zero_params_predict_head_bias(self):
         lstm = Lstm.zeros(1, 6)
         lstm.b_out[0] = 0.37
-        _, pred = lstm.forward(np.array([1.0, -2.0, 3.0]))
+        pred = lstm.forward_batch(np.array([[1.0, -2.0, 3.0]]))[0]
         assert pred == pytest.approx(0.37, abs=1e-12)
 
     def test_hand_computed_single_unit_two_steps(self):
@@ -272,14 +292,14 @@ class TestLstm:
             o = sig(0.2 * x)
             c = f * c + i * g
             h = o * np.tanh(c)
-        hidden, pred = lstm.forward(np.array([1.2, -0.7]))
+        hidden, pred = lstm_run(lstm, np.array([1.2, -0.7]))
         assert hidden[0] == pytest.approx(h, abs=1e-12)
         assert pred == pytest.approx(2.0 * h - 0.5, abs=1e-12)
 
     def test_hidden_state_length_tracks_units(self):
         lstm = Lstm.random(1, 100, seed=0)
-        hidden, _ = lstm.forward(np.linspace(0, 1, 24))
-        assert hidden.shape == (100,)
+        hidden = lstm._hidden(np.linspace(0, 1, 24).reshape(1, 24, 1))
+        assert hidden.shape == (1, 100)
 
     def test_recurrent_bias_dynamics_match_manual_recursion(self):
         # Zero input weights: the cell runs on biases alone from zero state.
@@ -304,14 +324,13 @@ class TestLstm:
             c = f * c + i * g
             h = o * np.tanh(c)
         expected = float(lstm.w_out @ h + lstm.b_out[0])
-        _, pred = lstm.forward(np.zeros(4))
+        pred = lstm.forward_batch(np.zeros((1, 4)))[0]
         assert pred == pytest.approx(expected, abs=1e-12)
 
     def test_zero_loss_gradient_zero_grads(self):
         lstm = Lstm.random(1, 4, seed=1)
-        grads = lstm.backward(np.array([0.3, -0.2]), 0.0)
-        for g in grads:
-            assert np.all(g == 0.0)
+        _, cache = lstm._forward_batch_cache(np.array([[0.3, -0.2]]))
+        assert np.all(lstm._backward_from_cache(cache, np.zeros(1)) == 0.0)
 
     def test_single_step_gradient_matches_hand_computation(self):
         # One unit, one step: prediction = w_out * o * tanh(i * g) + b_out.
@@ -330,7 +349,7 @@ class TestLstm:
         o = sig(-0.2 * x)
         c = i * g
         tc = np.tanh(c)
-        dw, _, dw_out, db_out = lstm.backward(np.array([x]), 1.0)
+        dw, _, dw_out, db_out = lstm_grads(lstm, np.array([x]), 1.0)
         assert dw_out[0] == pytest.approx(o * tc, abs=1e-12)
         assert db_out[0] == pytest.approx(1.0, abs=1e-12)
         # d pred / d W_o = 1.5 * tc * o(1-o) * x
@@ -347,16 +366,15 @@ class TestLstm:
     def test_empty_sequence_rejected(self):
         lstm = Lstm.random(1, 3, seed=0)
         with pytest.raises(ShapeError):
-            lstm.forward(np.zeros((0,)))
+            lstm.forward_batch(np.zeros((1, 0)))
 
 
 class TestOptimizers:
     def test_adam_zero_gradient_no_change(self):
         net = Mlp.random([3, 2], seed=0)
-        before = [p.copy() for p in net.params()]
-        Adam().step(net, [np.zeros_like(p) for p in net.params()])
-        for b, p in zip(before, net.params()):
-            assert np.array_equal(b, p)
+        before = net.theta.copy()
+        Adam().step(net, np.zeros_like(net.theta))
+        assert np.array_equal(before, net.theta)
 
     def test_adam_converges_on_quadratic(self):
         # Minimize (w - 1.7)^2 for a single weight; analytic minimum is 1.7.
@@ -364,7 +382,7 @@ class TestOptimizers:
         opt = Adam(learning_rate=0.01)
         for _ in range(1000):
             w = net.weights[0][0, 0]
-            opt.step(net, [np.array([[2.0 * (w - 1.7)]]), np.zeros(1)])
+            opt.step(net, np.array([2.0 * (w - 1.7), 0.0]))
         assert abs(net.weights[0][0, 0] - 1.7) < 1e-3
 
     def test_rprop_monotone_growth_until_cap(self):
@@ -372,7 +390,7 @@ class TestOptimizers:
         opt = Rprop(step_init=0.1, step_max=1.0)
         values = []
         for _ in range(30):
-            opt.step(net, [np.array([[1.0]]), np.zeros(1)])
+            opt.step(net, np.array([1.0, 0.0]))
             values.append(net.weights[0][0, 0])
         diffs = -np.diff(np.array([0.0] + values))
         assert np.all(np.array(values) == np.sort(np.array(values))[::-1])  # decreasing
@@ -382,14 +400,15 @@ class TestOptimizers:
     def test_rprop_shrinks_on_sign_flip(self):
         net = Mlp([np.array([[0.0]])], [np.zeros(1)])
         opt = Rprop(step_init=0.1)
-        opt.step(net, [np.array([[1.0]]), np.zeros(1)])
-        opt.step(net, [np.array([[-1.0]]), np.zeros(1)])  # flip: skip + shrink
-        assert opt._steps[0][0, 0] == pytest.approx(0.05)
+        opt.step(net, np.array([1.0, 0.0]))
+        opt.step(net, np.array([-1.0, 0.0]))  # flip: skip + shrink
+        assert opt._steps[0] == pytest.approx(0.05)
 
     def test_non_finite_gradient_raises_with_location(self):
         net = Mlp.random([2, 2], seed=0)
-        bad = [np.array([[0.0, np.nan], [0.0, 0.0]]), np.zeros(2)]
-        with pytest.raises(NumericError, match="array 0"):
+        bad = np.zeros(6)
+        bad[1] = np.nan
+        with pytest.raises(NumericError, match="index 1"):
             Adam().step(net, bad)
 
     def test_finite_inputs_keep_parameters_finite(self):
@@ -397,11 +416,10 @@ class TestOptimizers:
         rng = np.random.default_rng(0)
         adam, rprop = Adam(learning_rate=0.5), Rprop()
         for _ in range(50):
-            grads = [rng.normal(size=p.shape) * 100 for p in net.params()]
-            adam.step(net, grads)
-            rprop.step(net, grads)
-            for p in net.params():
-                assert np.all(np.isfinite(p))
+            grad = rng.normal(size=net.theta.shape) * 100
+            adam.step(net, grad)
+            rprop.step(net, grad)
+            assert np.all(np.isfinite(net.theta))
 
 
     @pytest.mark.parametrize("make_opt", [Adam, Rprop])
@@ -409,44 +427,45 @@ class TestOptimizers:
     def test_rejected_step_changes_nothing(self, make_opt, bad):
         net = Mlp.random([3, 4, 2], seed=0)
         opt = make_opt()
-        opt.step(net, [np.ones_like(p) for p in net.params()])
-        before = [p.copy() for p in net.params()]
+        opt.step(net, np.ones_like(net.theta))
+        before = net.theta.copy()
         t_before = getattr(opt, "t", None)
-        grads = [np.ones_like(p) for p in net.params()]
+        grad = np.ones_like(net.theta)
         if bad == "shape":
-            grads[3] = np.ones(3)
+            grad = grad[:, None]
         elif bad == "nan":
-            grads[3][1] = np.nan
+            grad[-2] = np.nan
         else:
-            grads.pop()
+            grad = grad[:-1]
         with pytest.raises(NumericError if bad == "nan" else ShapeError):
-            opt.step(net, grads)
+            opt.step(net, grad)
         assert getattr(opt, "t", None) == t_before
-        for b, p in zip(before, net.params()):
-            assert np.array_equal(b, p)
+        assert np.array_equal(before, net.theta)
 
 
 class TestSoftUpdate:
     def test_tau_zero_keeps_target(self):
         t = Mlp.random([3, 2], seed=0)
         l = Mlp.random([3, 2], seed=1)
+        before = t.theta.copy()
         out = soft_update(t, l, 0.0)
-        for a, b in zip(out.params(), t.params()):
-            assert np.array_equal(a, b)
+        assert out is t
+        assert np.array_equal(t.theta, before)
 
     def test_tau_one_copies_local(self):
         t = Mlp.random([3, 2], seed=0)
         l = Mlp.random([3, 2], seed=1)
         out = soft_update(t, l, 1.0)
-        for a, b in zip(out.params(), l.params()):
-            assert np.array_equal(a, b)
+        assert out is t
+        assert np.array_equal(t.theta, l.theta)
 
     def test_halfway_blend(self):
         t = Mlp.zeros([1, 1])
         l = Mlp.zeros([1, 1])
         l.weights[0][0, 0] = 2.0
-        out = soft_update(t, l, 0.5)
-        assert out.weights[0][0, 0] == pytest.approx(1.0)
+        soft_update(t, l, 0.5)
+        assert t.weights[0][0, 0] == pytest.approx(1.0)
+        assert l.weights[0][0, 0] == 2.0
 
     def test_contraction_rate_exact(self):
         t = Mlp.random([4, 3], seed=0)
@@ -461,6 +480,89 @@ class TestSoftUpdate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             soft_update(Mlp.random([3, 2], seed=0), Mlp.random([3, 3], seed=0), 0.5)
+        with pytest.raises(ShapeError):  # same parameter count, other layout
+            soft_update(Mlp.zeros([4, 1, 4]), Mlp.zeros([1, 4, 1]), 0.5)
+
+
+# The nfq2 and nfq1 Q-networks and the criterion-5 forecaster LSTM.
+FLAT_NETS = {
+    "nfq2": lambda: Mlp.random([13, 64, 81], seed=0),
+    "nfq1": lambda: Mlp.random([14, 64, 64, 1], seed=1),
+    "lstm32": lambda: Lstm.random(1, 32, seed=2),
+}
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("name", FLAT_NETS)
+    def test_params_are_views_of_theta(self, name):
+        net = FLAT_NETS[name]()
+        assert net.theta.dtype == np.float64 and net.theta.flags.owndata
+        assert all(p.base is net.theta for p in net.params())
+        assert [p.shape for p in net.params()] == list(net.shapes)
+        assert np.array_equal(np.concatenate([p.ravel() for p in net.params()]), net.theta)
+        net.theta[:] = np.arange(net.theta.size)
+        assert net.params()[-1].ravel()[-1] == net.theta.size - 1
+
+    def test_constructors_copy_their_inputs(self):
+        w, b = np.ones((3, 2)), np.zeros(3)
+        lstm_arrays = [np.ones((8, 3)), np.zeros(8), np.ones(2), np.zeros(1)]
+        net, lstm = Mlp([w], [b]), Lstm(*lstm_arrays)
+        given = [(w, net), (b, net)] + [(a, lstm) for a in lstm_arrays]
+        assert not any(np.shares_memory(a, n.theta) for a, n in given)
+        net.theta[:] = 7.0
+        lstm.theta[:] = 7.0
+        assert (w == 1.0).all() and not b.any()
+        assert [a.sum() for a in lstm_arrays] == [24.0, 0.0, 2.0, 0.0]
+        w[0, 0] = -1.0
+        assert net.weights[0][0, 0] == 7.0
+
+    @pytest.mark.parametrize("name", FLAT_NETS)
+    def test_copy_owns_its_vector(self, name):
+        net = FLAT_NETS[name]()
+        twin = net.copy()
+        assert np.array_equal(twin.theta, net.theta)
+        twin.theta += 1.0
+        assert not np.shares_memory(twin.theta, net.theta)
+        assert all(p.base is twin.theta for p in twin.params())
+
+    @pytest.mark.parametrize("name", FLAT_NETS)
+    @pytest.mark.parametrize("flat_opt, reference_opt",
+                             [(Adam, AdamReference), (Rprop, RpropReference)],
+                             ids=["adam", "rprop"])
+    def test_optimizer_matches_per_array_reference(self, name, flat_opt, reference_opt):
+        net = FLAT_NETS[name]()
+        reference = [p.copy() for p in net.params()]
+        opt, ref_opt = flat_opt(), reference_opt()
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            grad = rng.normal(size=net.theta.shape)
+            grad[rng.random(grad.shape) < 0.1] = 0.0  # Rprop's unchanged-sign branch
+            opt.step(net, grad)
+            ref_opt.step(reference, [v.copy() for v in _views(grad, net.shapes)])
+        assert all(np.array_equal(p, r) for p, r in zip(net.params(), reference))
+
+    @pytest.mark.parametrize("name", FLAT_NETS)
+    def test_soft_update_matches_per_array_reference(self, name):
+        target, local = FLAT_NETS[name](), FLAT_NETS[name]()
+        local.theta[:] = np.random.default_rng(4).normal(size=local.theta.shape)
+        reference = [p.copy() for p in target.params()]
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            local.theta += 0.01 * rng.normal(size=local.theta.shape)
+            reference = soft_update_reference(reference, local.params(), 1e-3)
+            assert soft_update(target, local, 1e-3) is target
+        assert all(np.array_equal(p, r) for p, r in zip(target.params(), reference))
+
+    @pytest.mark.parametrize("name", ["nfq2", "nfq1"])
+    def test_backward_fills_params_order(self, name):
+        net = FLAT_NETS[name]()
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(64, net.in_dim))
+        g = rng.normal(size=(64, net.out_dim))
+        _, cache = net._forward_cache(x)
+        flat = net._backward_from_cache(cache, g)
+        expected = mlp_backward_reference(net.weights, net.biases, x, g)
+        assert all(np.array_equal(v, e) for v, e in zip(_views(flat, net.shapes), expected))
 
 
 class TestGradCheck:
@@ -496,8 +598,8 @@ class TestSerialization:
         path = tmp_path / "lstm.json"
         save_network(lstm, str(path))
         loaded = load_network(str(path))
-        seq = np.linspace(-1, 1, 8)
-        assert loaded.forward(seq)[1] == lstm.forward(seq)[1]
+        seq = np.linspace(-1, 1, 8)[None]
+        assert loaded.forward_batch(seq)[0] == lstm.forward_batch(seq)[0]
 
     def test_per_gate_lstm_blob_rejected(self, tmp_path):
         # The layout before stacked gates: (W, U, b) for f, i, g, o, then the head.
@@ -507,6 +609,19 @@ class TestSerialization:
         path.write_text(json.dumps({"kind": "lstm", "input_dim": 1, "units": u,
                                     "arrays": arrays}))
         with pytest.raises(ShapeError):
+            load_network(str(path))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("net", [Mlp.random([3, 4, 2], seed=0), Lstm.random(1, 3, seed=0)],
+                             ids=["mlp", "lstm"])
+    def test_non_finite_checkpoint_rejected(self, tmp_path, net, bad):
+        path = tmp_path / "net.json"
+        save_network(net, str(path))
+        blob = json.loads(path.read_text())
+        blob["arrays"][1][0] = float(bad)
+        path.write_text(json.dumps(blob))
+        assert bad in path.read_text()
+        with pytest.raises(ValueError, match=f"{path}: non-finite"):
             load_network(str(path))
 
     def test_header_is_inspectable_json(self, tmp_path):
