@@ -18,8 +18,8 @@ from .market import (Bid, DEFAULT_GENCOS, DemandConfig, DemandSeries, GencoParam
                      InfeasibleDemand, MarketOutcome, ReactiveMarketEnv, clear_market,
                      clear_market_batch, demand_profile, load_gencos, profit,
                      simulate_total_quantity)
-from .nn import (Adam, Lstm, Mlp, NumericError, Rprop, ShapeError, grad_check,
-                 load_network, save_network, soft_update)
+from .nn import (Adam, Lstm, Mlp, NumericError, ShapeError, grad_check, load_network,
+                 save_network, soft_update)
 from .replay import ReplayBuffer
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .market import ReactiveMarketEnv
-from .nn import Mlp, NumericError, ShapeError, soft_update
+from .nn import Adam, Mlp, NumericError, ShapeError, soft_update
 from .replay import ReplayBuffer
 
 N_ACTIONS = 81
@@ -217,7 +217,6 @@ class TrainConfig:
     warmup_size: int = 10_000
     variant: str = "nfq2"
     hidden_sizes: tuple[int, ...] | None = None
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     episodes: int = 1500
     max_iterations: int | None = None
@@ -239,7 +238,6 @@ class TrainConfig:
              "warmup_size must be in [0, buffer_capacity]"),
             (not self.hidden_sizes or min(self.hidden_sizes) >= 1, "hidden_sizes must be positive"),
             (self.variant in VARIANTS, f"variant must be one of {VARIANTS}"),
-            (self.optimizer in ("adam", "rprop"), "optimizer must be adam or rprop"),
             (0.0 <= self.epsilon_min <= self.epsilon0 <= 1.0, "need 0 <= epsilon_min <= epsilon0 <= 1"),
             (0.0 <= self.epsilon_decay <= 1.0, "epsilon_decay must be in [0, 1]"),
             (self.steps_per_iteration >= 1, "steps_per_iteration must be >= 1"),
@@ -261,10 +259,6 @@ class TrainConfig:
         if self.variant == "nfq2":
             return [state_dim, *self.hidden(), n_actions]
         return [state_dim + 1, *self.hidden(), 1]
-
-    def make_optimizer(self):
-        from .nn import Adam, Rprop
-        return Adam(learning_rate=self.learning_rate) if self.optimizer == "adam" else Rprop()
 
 
 @dataclass
@@ -344,7 +338,7 @@ def train(task: Task, config: TrainConfig, seed: int) -> TrainResult:
     local = Mlp.random(config.network_sizes(task.state_dim, n_actions),
                        int(rng_net.integers(2**31)))
     target = local.copy()
-    opt = config.make_optimizer()
+    opt = Adam(learning_rate=config.learning_rate)
     buffer = ReplayBuffer(config.buffer_capacity, beta=config.per_beta,
                           eps_priority=config.per_eps, state_dim=task.state_dim, n_actions=n_actions)
 

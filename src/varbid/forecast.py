@@ -155,7 +155,10 @@ def load_forecaster(path: str) -> Forecaster:
         p[...] = vals.reshape(p.shape)
     if not np.all(np.isfinite(lstm.theta)):
         raise ValueError(f"{path}: non-finite parameter value")
-    return Forecaster(lstm=lstm, lo=blob["lo"], hi=blob["hi"])
+    lo, hi = blob["lo"], blob["hi"]
+    if not (np.all(np.isfinite([lo, hi])) and lo <= hi):
+        raise ValueError(f"{path}: need finite lo <= hi, got lo={lo!r}, hi={hi!r}")
+    return Forecaster(lstm=lstm, lo=lo, hi=hi)
 
 
 def save_series_csv(series, path: str) -> None:

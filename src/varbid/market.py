@@ -107,8 +107,8 @@ class Bid:
     b2: float
 
     def __post_init__(self):
-        if self.b1 < 0 or self.b2 < 0:
-            raise ValueError(f"bid coefficients must be nonnegative, got {self}")
+        if not (0.0 <= self.b1 < np.inf and 0.0 <= self.b2 < np.inf):  # NaN fails too
+            raise ValueError(f"bid coefficients must be finite and nonnegative, got {self}")
 
 
 @dataclass
@@ -222,11 +222,17 @@ def clear_market_batch(b1: np.ndarray, b2: np.ndarray, qmax: np.ndarray,
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     demand = np.asarray(demand, dtype=float)
-    T, n = b1.shape
-    cap = np.broadcast_to(np.asarray(qmax, dtype=float), (T, n))
-    total_cap = cap.sum(axis=1)
     if not np.all(demand >= 0):  # also catches NaN
         raise ValueError("requirement must be nonnegative")
+    T, n = b1.shape
+    if b2.shape != (T, n) or demand.shape != (T,):
+        raise ValueError(f"b1 is {b1.shape}, so b2 must be {(T, n)} and demand {(T,)}; "
+                         f"got {b2.shape} and {demand.shape}")
+    for name, coef in (("b1", b1), ("b2", b2)):
+        if not np.all((coef >= 0) & (coef < np.inf)):  # NaN fails too
+            raise ValueError(f"{name} must be finite and nonnegative")
+    cap = np.broadcast_to(np.asarray(qmax, dtype=float), (T, n))
+    total_cap = cap.sum(axis=1)
     bad = demand > total_cap + 1e-12
     if np.any(bad):
         t = int(np.argmax(bad))

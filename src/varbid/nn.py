@@ -1,13 +1,13 @@
 """Small neural-network engine shared by the forecaster and the Q-learner.
 
 Provides dense multilayer perceptrons (ReLU hidden layers, a linear output
-layer) and a single-layer LSTM with hand-derived backpropagation, Adam and
-Rprop optimizers, soft parameter blending for target networks, a
+layer) and a single-layer LSTM with hand-derived backpropagation, the Adam
+optimizer, soft parameter blending for target networks, a
 central-finite-difference gradient checker, and a JSON checkpoint format.
 
 Each network copies its arrays into one float64 vector ``theta`` and keeps
 them as views into it, listed in ``theta`` order by ``params()``. Backward
-passes return one gradient vector in that order, so the optimizers, the
+passes return one gradient vector in that order, so the optimizer, the
 soft update and the gradient checker each work on one vector. All
 arithmetic is float64; the gradient checks need the headroom.
 """
@@ -306,7 +306,7 @@ class Lstm:
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 # ---------------------------------------------------------------------------
 
 class Adam:
@@ -329,6 +329,9 @@ class Adam:
         if self._m is None:
             self._m = np.zeros_like(theta)
             self._v = np.zeros_like(theta)
+        elif self._m.shape != theta.shape:
+            raise ShapeError(f"optimizer state has {self._m.size} entries, "
+                             f"network has {theta.size}")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
@@ -338,38 +341,6 @@ class Adam:
         v *= self.beta2
         v += (1.0 - self.beta2) * grad * grad
         theta -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-class Rprop:
-    """Resilient backpropagation: sign-based per-parameter step adaptation.
-
-    Classic constants: grow 1.2 on a stable gradient sign, shrink 0.5 on a
-    sign flip (skipping that update), steps clamped to [step_min, step_max].
-    """
-
-    def __init__(self, step_init: float = 0.1, grow: float = 1.2, shrink: float = 0.5,
-                 step_min: float = 1e-6, step_max: float = 50.0):
-        self.step_init = step_init
-        self.grow = grow
-        self.shrink = shrink
-        self.step_min = step_min
-        self.step_max = step_max
-        self._steps: np.ndarray | None = None
-        self._prev: np.ndarray | None = None
-
-    def step(self, net, grad: np.ndarray) -> None:
-        """One update of ``net.theta`` from a gradient laid out like it."""
-        theta = net.theta
-        _check_grad(theta, grad)
-        if self._steps is None:
-            self._steps = np.full_like(theta, self.step_init)
-            self._prev = np.zeros_like(theta)
-        prod = self._prev * grad
-        steps = self._steps
-        steps[prod > 0] = np.minimum(steps[prod > 0] * self.grow, self.step_max)
-        steps[prod < 0] = np.maximum(steps[prod < 0] * self.shrink, self.step_min)
-        self._prev = np.where(prod < 0, 0.0, grad)
-        theta -= np.sign(self._prev) * steps
 
 
 def soft_update(target, local, tau: float):

@@ -2,7 +2,7 @@
 
 Brute-force searches, exact value iteration, the bisection dispatch the
 library used before its breakpoint walk, the per-hour rival bids the
-environment draws as arrays, and the per-array optimizers, soft update and
+environment draws as arrays, and the per-array Adam, soft update and
 dense backward pass the library used before its flat parameter vector.
 """
 
@@ -223,28 +223,6 @@ class AdamReference:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-class RpropReference:
-    """Rprop applied array by array to a list of parameter arrays, in place."""
-
-    def __init__(self, step_init=0.1, grow=1.2, shrink=0.5, step_min=1e-6, step_max=50.0):
-        self.step_init, self.grow, self.shrink = step_init, grow, shrink
-        self.step_min, self.step_max = step_min, step_max
-        self.steps = self.prev = None
-
-    def step(self, params, grads):
-        if self.steps is None:
-            self.steps = [np.full_like(p, self.step_init) for p in params]
-            self.prev = [np.zeros_like(p) for p in params]
-        for k, (p, g) in enumerate(zip(params, grads)):
-            prod = self.prev[k] * g
-            steps = self.steps[k]
-            steps[prod > 0] = np.minimum(steps[prod > 0] * self.grow, self.step_max)
-            steps[prod < 0] = np.maximum(steps[prod < 0] * self.shrink, self.step_min)
-            g_eff = np.where(prod < 0, 0.0, g)
-            p -= np.sign(g_eff) * steps
-            self.prev[k] = g_eff
 
 
 def soft_update_reference(target, local, tau):

@@ -9,7 +9,7 @@ from varbid.agent import (BiddingTask, N_ACTIONS, STATE_DIM, StepRecord, TrainCo
 from varbid.forecast import train_forecaster
 from varbid.harness import derive_env_seed
 from varbid.market import ReactiveMarketEnv, simulate_total_quantity
-from varbid.nn import Mlp, ShapeError
+from varbid.nn import Adam, Mlp, ShapeError
 from varbid.replay import ReplayBuffer
 
 
@@ -273,12 +273,6 @@ class TestTrain:
         assert seeds[0] == derive_env_seed(5)
         assert set(seeds) == {seeds[0]}  # without resample_demand every reset repeats it
 
-    def test_rprop_optimizer_path_runs(self):
-        cfg = toy_config(optimizer="rprop", max_iterations=60, episodes=10**6)
-        result = train(TwoStateMdp(), cfg, seed=0)
-        for p in result.local.params():
-            assert np.all(np.isfinite(p))
-
     def test_non_finite_loss_aborts_with_diagnostics(self):
         from varbid.agent import _one_training_pass
         from varbid.nn import NumericError
@@ -288,8 +282,8 @@ class TestTrain:
             buf.add(np.zeros(13), 0, 1e200, np.zeros(13), False)
         local = Mlp.random([13, 8, 81], seed=0)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="epsilon 0.5"):
-            _one_training_pass(local, local.copy(), buf, cfg.make_optimizer(), cfg, 81,
-                               np.random.default_rng(0),
+            _one_training_pass(local, local.copy(), buf, Adam(learning_rate=cfg.learning_rate),
+                               cfg, 81, np.random.default_rng(0),
                                context="iteration 7, epsilon 0.5, gamma 0.3")
 
     def test_priority_consistency_after_iteration(self):
@@ -303,7 +297,7 @@ class TestTrain:
         from varbid.agent import _one_training_pass
         local = Mlp.random([2, 16, 2], seed=0)
         target = local.copy()
-        opt = cfg.make_optimizer()
+        opt = Adam(learning_rate=cfg.learning_rate)
         rng_per = np.random.default_rng(9)
         state_rng = np.random.default_rng(10)
         _ = state_rng  # unused: priorities only depend on the sampled batch

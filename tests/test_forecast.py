@@ -179,6 +179,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{path}: non-finite"):
             load_forecaster(str(path))
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, float("nan")), (float("inf"), 1.0), (2.0, 1.0)],
+                             ids=["hi_nan", "lo_inf", "lo_above_hi"])
+    def test_bad_scale_rejected(self, tmp_path, lo, hi):
+        path = tmp_path / "fc.json"
+        save_forecaster(Forecaster(lstm=Lstm.random(1, 3, seed=0), lo=lo, hi=hi), str(path))
+        with pytest.raises(ValueError, match=f"{path}: need finite lo <= hi"):
+            load_forecaster(str(path))
+
+    def test_constant_series_scale_loads(self, tmp_path):
+        path = tmp_path / "fc.json"
+        save_forecaster(Forecaster(lstm=Lstm.random(1, 3, seed=0), lo=0.4, hi=0.4), str(path))
+        assert np.isfinite(load_forecaster(str(path)).predict(np.full(24, 0.4)))
+
     def test_series_csv_round_trip(self, tmp_path):
         series = demand_profile(60, seed=1).values
         path = tmp_path / "series.csv"

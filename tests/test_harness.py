@@ -96,8 +96,8 @@ class TestConfigParsing:
             forecaster_batch_size=16, forecaster_learning_rate=0.002,
             forecaster_series_steps=240, gamma=0.45, epsilon0=0.9, epsilon_decay=0.2,
             epsilon_min=0.05, tau=0.01, batch_size=8, steps_per_iteration=3,
-            buffer_capacity=500, warmup_size=50, hidden_sizes=(8, 4), optimizer="rprop",
-            learning_rate=0.002, per_beta=0.6, per_eps=0.02,
+            buffer_capacity=500, warmup_size=50, hidden_sizes=(8, 4), learning_rate=0.002,
+            per_beta=0.6, per_eps=0.02,
             forced_action_index=7, resample_demand=True, max_iterations=9, peak_units=1.1,
             participation=0.5, daily_amplitude=0.4, weekly_amplitude=0.1,
             noise_amplitude=0.02)

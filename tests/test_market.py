@@ -194,6 +194,26 @@ class TestClearMarket:
         with pytest.raises(ValueError, match="nonnegative"):
             clear_market_batch([[0.5]], [[0.5]], [0.5], [0.2, demand])
 
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_bad_bid_coefficient_rejected(self, bad):
+        for b1, b2 in ((0.6, bad), (bad, 0.4)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                Bid(b1, b2)
+        good = np.full((2, 3), 0.5)
+        broken = good.copy()
+        broken[1, 2] = bad
+        for name, b1, b2 in (("b1", broken, good), ("b2", good, broken)):
+            with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+                clear_market_batch(b1, b2, [0.5] * 3, [0.3, 0.3])
+
+    def test_batch_shape_mismatch_rejected(self):
+        b1 = np.full((2, 3), 0.5)
+        with pytest.raises(ValueError, match=r"b2 must be \(2, 3\).*got \(2, 4\)"):
+            clear_market_batch(b1, np.full((2, 4), 0.5), [0.5] * 3, [0.3, 0.3])
+        for demand in ([0.3], [0.3] * 3):
+            with pytest.raises(ValueError, match=r"demand \(2,\)"):
+                clear_market_batch(b1, b1, [0.5] * 3, demand)
+
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(31)
         gencos = DEFAULT_GENCOS
