@@ -101,11 +101,14 @@ def _with_actions(states: np.ndarray, actions: np.ndarray, n_actions: int) -> np
 
 def _q_matrix(net: Mlp, states: np.ndarray, n_actions: int) -> np.ndarray:
     """Q-values for every action at each state row; shape (len(states), n_actions)."""
-    if not _is_nfq1(net, states.shape[1], n_actions):
+    m, d = states.shape
+    if not _is_nfq1(net, d, n_actions):
         return net.forward(states)
-    inputs = _with_actions(np.repeat(states, n_actions, axis=0),
-                           np.tile(np.arange(n_actions), len(states)), n_actions)
-    return net.forward(inputs).reshape(-1, n_actions)
+    # Row (i, a) is state i followed by a / (n_actions - 1), as _with_actions lays it out.
+    inputs = np.empty((m, n_actions, d + 1))
+    inputs[:, :, :d] = states[:, None, :]
+    inputs[:, :, d] = np.arange(n_actions) / (n_actions - 1)
+    return net.forward(inputs.reshape(m * n_actions, d + 1)).reshape(m, n_actions)
 
 
 def q_values(net: Mlp, state: np.ndarray, n_actions: int = N_ACTIONS) -> np.ndarray:

@@ -228,10 +228,14 @@ def clear_market_batch(b1: np.ndarray, b2: np.ndarray, qmax: np.ndarray,
     if b2.shape != (T, n) or demand.shape != (T,):
         raise ValueError(f"b1 is {b1.shape}, so b2 must be {(T, n)} and demand {(T,)}; "
                          f"got {b2.shape} and {demand.shape}")
-    for name, coef in (("b1", b1), ("b2", b2)):
+    qmax = np.asarray(qmax, dtype=float)
+    try:
+        cap = np.broadcast_to(qmax, (T, n))
+    except ValueError:
+        raise ValueError(f"qmax of shape {qmax.shape} does not broadcast to {(T, n)}") from None
+    for name, coef in (("b1", b1), ("b2", b2), ("qmax", cap)):
         if not np.all((coef >= 0) & (coef < np.inf)):  # NaN fails too
             raise ValueError(f"{name} must be finite and nonnegative")
-    cap = np.broadcast_to(np.asarray(qmax, dtype=float), (T, n))
     total_cap = cap.sum(axis=1)
     bad = demand > total_cap + 1e-12
     if np.any(bad):

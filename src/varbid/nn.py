@@ -10,6 +10,8 @@ them as views into it, listed in ``theta`` order by ``params()``. Backward
 passes return one gradient vector in that order, so the optimizer, the
 soft update and the gradient checker each work on one vector. All
 arithmetic is float64; the gradient checks need the headroom.
+``Mlp.forward`` reuses per-network hidden-layer buffers, so a repeated
+call allocates only its output.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class Mlp:
                 )
         views = _pack(self, [p for pair in zip(weights, biases) for p in pair])
         self.weights, self.biases = views[0::2], views[1::2]
+        # forward's buffers: one (rows, width) array per hidden layer.
+        self._work = [np.empty((0, w.shape[0])) for w in self.weights[:-1]]
 
     # -- construction -------------------------------------------------------
 
@@ -123,18 +127,26 @@ class Mlp:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network; accepts a single vector or a (batch, in) array."""
-        out, _ = self._forward_cache(np.asarray(x, dtype=float))
+        """Evaluate the network on a single vector or a (batch, in) array; the
+        result is a new array, the hidden layers reuse buffers sized to the largest batch."""
+        x = np.asarray(x, dtype=float)
+        rows = len(x) if x.ndim == 2 else 1
+        if self._work and rows > len(self._work[0]):
+            self._work = [np.empty((rows, w.shape[0])) for w in self.weights[:-1]]
+        out, _ = self._forward_cache(x, self._work if x.ndim <= 2 else None)
         return out
 
-    def _forward_cache(self, x: np.ndarray):
+    def _forward_cache(self, x: np.ndarray, work: list[np.ndarray] | None = None):
+        """Output and every layer's input; hidden layers go into ``work[k][:rows]`` if given."""
         single = x.ndim == 1
         a = x[None, :] if single else x
         if a.shape[-1] != self.in_dim:
             raise ShapeError(f"input has {a.shape[-1]} features, network expects {self.in_dim}")
         layer_inputs = [a]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w.T + b, 0.0)
+        for k, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+            a = np.matmul(a, w.T, out=None if work is None else work[k][:len(a)])
+            a += b
+            np.maximum(a, 0.0, out=a)
             layer_inputs.append(a)
         out = a @ self.weights[-1].T + self.biases[-1]
         return (out[0] if single else out), layer_inputs

@@ -2,12 +2,14 @@
 
 Brute-force searches, exact value iteration, the bisection dispatch the
 library used before its breakpoint walk, the per-hour rival bids the
-environment draws as arrays, and the per-array Adam, soft update and
-dense backward pass the library used before its flat parameter vector.
+environment draws as arrays, the per-array Adam, soft update and
+dense backward pass the library used before its flat parameter vector, and
+the nfq1 input rows the library built before it wrote them in place.
 """
 
 import numpy as np
 
+from varbid.agent import _with_actions
 from varbid.market import B1_NOISE, Bid, GencoParams
 
 
@@ -247,3 +249,10 @@ def mlp_backward_reference(weights, biases, x, g):
         if k > 0:
             d = (d @ weights[k]) * (layer_inputs[k] > 0.0)
     return grads
+
+
+def nfq1_rows_reference(states, n_actions):
+    """nfq1 inputs for every (state, action) pair, state-major: repeat, tile, append."""
+    states = np.asarray(states, dtype=float)
+    return _with_actions(np.repeat(states, n_actions, axis=0),
+                         np.tile(np.arange(n_actions), len(states)), n_actions)

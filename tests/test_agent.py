@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import value_iteration
+from oracles import nfq1_rows_reference, value_iteration
 from toy_env import REWARDS, TRANSITIONS, TwoStateMdp, ZeroRewardTask
 from varbid.agent import (BiddingTask, N_ACTIONS, STATE_DIM, StepRecord, TrainConfig,
-                          action_decode, compute_targets, encode_state, q_values,
+                          _q_matrix, action_decode, compute_targets, encode_state, q_values,
                           select_action, td_error, train, warmup)
 from varbid.forecast import train_forecaster
 from varbid.harness import derive_env_seed
@@ -85,6 +87,29 @@ class TestQValues:
         for k in (0, 7, 80):
             direct = net.forward(np.concatenate([state, [k / 80.0]]))[0]
             assert qs[k] == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 64])
+    def test_nfq1_rows_match_repeat_tile_reference_bit_for_bit(self, m):
+        net = Mlp.random([14, 64, 64, 1], seed=8)
+        states = np.random.default_rng(m).normal(size=(m, STATE_DIM))
+        reference = nfq1_rows_reference(states, N_ACTIONS)
+        expected = net.forward(reference).reshape(m, N_ACTIONS)
+        assert np.array_equal(_q_matrix(net, states, N_ACTIONS), expected)
+        assert np.array_equal(expected, net._forward_cache(reference)[0].reshape(m, N_ACTIONS))
+
+    def test_warm_nfq1_target_pass_allocates_under_1mb(self):
+        # A cold call sizes the net's buffers; a warm one allocates only its
+        # (64 * 81, 14) input rows (0.66 MB) and its output, not the layers.
+        net = Mlp.random([14, 64, 64, 1], seed=9)
+        states = np.random.default_rng(5).normal(size=(64, STATE_DIM))
+        _q_matrix(net, states, N_ACTIONS)
+        tracemalloc.start()
+        try:
+            _q_matrix(net, states, N_ACTIONS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_variant_shape_mismatch_rejected(self):
         state = np.zeros(STATE_DIM)

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (bisect_dispatch, dispatch_objective, grid_dispatch,
                      random_dispatch_instance, rival_bids)
+from varbid import market
 from varbid.market import (DEFAULT_GENCOS, Bid, DemandConfig, GencoParams,
                            InfeasibleDemand, ReactiveMarketEnv, clear_market,
                            clear_market_batch, demand_profile, load_gencos,
@@ -213,6 +214,23 @@ class TestClearMarket:
         for demand in ([0.3], [0.3] * 3):
             with pytest.raises(ValueError, match=r"demand \(2,\)"):
                 clear_market_batch(b1, b1, [0.5] * 3, demand)
+
+    @pytest.mark.parametrize("qmax", [[np.nan, 0.5, 0.5], [-0.5, 0.5, 0.5], [np.inf, 0.5, 0.5],
+                                      [0.5, 0.5], np.full((3, 3), 0.5)],
+                             ids=["nan", "negative", "inf", "short", "too_many_rows"])
+    def test_bad_batch_capacity_rejected_before_solving(self, qmax, monkeypatch):
+        solved = []
+        monkeypatch.setattr(market, "_solve_dispatch", lambda *args: solved.append(args))
+        b = np.full((2, 3), 0.5)
+        with pytest.raises(ValueError, match="qmax"):
+            clear_market_batch(b, b, qmax, [0.3, 0.3])
+        assert solved == []
+
+    def test_zero_batch_capacity_allowed(self):
+        b = np.full((2, 3), 0.5)
+        x, _ = clear_market_batch(b, b, [0.0, 0.5, 0.5], [0.3, 0.3])
+        assert np.array_equal(x[:, 0], [0.0, 0.0])
+        assert np.allclose(x.sum(axis=1), 0.3, rtol=0, atol=1e-12)
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(31)

@@ -110,6 +110,64 @@ class TestMlpForward:
             assert np.allclose(batch[k], net.forward(xs[k]), rtol=0, atol=1e-12)
 
 
+class TestMlpWorkspace:
+    """``forward`` reuses per-network hidden-layer buffers; results must not notice."""
+
+    @staticmethod
+    def expression_forward(net, x):
+        # The layer loop as written before the buffers: a fresh array per operation.
+        a = x
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            a = np.maximum(a @ w.T + b, 0.0)
+        return a @ net.weights[-1].T + net.biases[-1]
+
+    def test_buffered_forward_equals_fresh_path_bit_for_bit(self):
+        net = Mlp.random([14, 64, 64, 1], seed=4)
+        rng = np.random.default_rng(2)
+        calls = []
+        for rows in (5184, 81, 64, 1, 5184):
+            x = rng.normal(size=(rows, 14))
+            out = net.forward(x)
+            assert np.array_equal(out, net._forward_cache(x)[0])
+            assert np.array_equal(out, self.expression_forward(net, x))
+            calls.append((out, out.copy()))
+        # Each result is its own array, untouched by the calls after it.
+        assert all(np.array_equal(out, kept) for out, kept in calls)
+        assert not any(np.shares_memory(out, w) for out, _ in calls for w in net._work)
+        # One (largest batch, width) buffer per hidden layer.
+        assert [w.shape for w in net._work] == [(5184, 64), (5184, 64)]
+
+    def test_single_vector_uses_buffers_too(self):
+        net = Mlp.random([6, 8, 3], seed=5)
+        x = np.random.default_rng(11).normal(size=6)
+        out = net.forward(x)
+        assert out.shape == (3,)
+        assert np.array_equal(out, net._forward_cache(x)[0])
+        assert [w.shape for w in net._work] == [(1, 8)]
+
+    def test_net_without_hidden_layer(self):
+        net = Mlp.random([14, 1], seed=6)
+        x = np.random.default_rng(3).normal(size=(81, 14))
+        assert net._work == []
+        assert np.array_equal(net.forward(x), net._forward_cache(x)[0])
+        assert np.array_equal(net.forward(x), self.expression_forward(net, x))
+        assert net._work == []
+
+    def test_buffers_stay_out_of_copies_and_checkpoints(self, tmp_path):
+        net = Mlp.random([14, 16, 16, 1], seed=7)
+        before = tmp_path / "before.json"
+        save_network(net, str(before))
+        x = np.random.default_rng(4).normal(size=(100, 14))
+        expected = net.forward(x)
+        twin = net.copy()
+        assert [w.shape[0] for w in twin._work] == [0, 0]
+        assert np.array_equal(twin.forward(x), expected)
+        assert not any(np.shares_memory(a, b) for a in net._work for b in twin._work)
+        after = tmp_path / "after.json"
+        save_network(net, str(after))
+        assert before.read_bytes() == after.read_bytes()
+
+
 class TestMlpBackward:
     def test_linear_layer_outer_product(self):
         net = Mlp.zeros([3, 2])
