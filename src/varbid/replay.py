@@ -15,6 +15,7 @@ No importance-sampling correction is applied to the loss.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -114,7 +115,10 @@ class ReplayBuffer:
                      self.next_states[idx], self.terminal[idx])
 
     def update_priorities(self, indices, td_errors) -> None:
-        """Set priority |td_error| + eps_priority at each index (last write wins)."""
+        """Set priority |td_error| + eps_priority at each index (last write wins).
+
+        Out-of-range indices and non-finite errors are rejected before any write.
+        """
         idx = np.asarray(indices, dtype=int)
         errs = np.asarray(td_errors, dtype=float)
         if idx.shape != errs.shape:
@@ -124,6 +128,10 @@ class ReplayBuffer:
         if idx.min() < 0 or idx.max() >= self._size:
             raise ValueError(f"index outside stored range [0, {self._size - 1}]")
         priorities = np.abs(errs) + self.eps_priority
+        top = float(priorities.max())  # NaN or inf if any error is
+        if not math.isfinite(top):
+            raise ValueError(f"td_errors has a non-finite value at position "
+                             f"{int(np.argmin(np.isfinite(errs)))}")
         self._priorities[idx] = priorities
         self._weights[idx] = priorities ** self.beta
-        self._max_priority = max(self._max_priority, float(priorities.max()))
+        self._max_priority = max(self._max_priority, top)

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import AdamReference, mlp_backward_reference, soft_update_reference
-from varbid.nn import (Adam, Lstm, Mlp, NumericError, ShapeError, _sigmoid, _views,
+from varbid.nn import (_BLOCK_ROWS, Adam, Lstm, Mlp, NumericError, ShapeError, _sigmoid, _views,
                        grad_check, load_network, save_network, soft_update)
 
 
@@ -166,6 +167,60 @@ class TestMlpWorkspace:
         after = tmp_path / "after.json"
         save_network(net, str(after))
         assert before.read_bytes() == after.read_bytes()
+
+    @staticmethod
+    def with_random_biases(sizes, seed):
+        # Mlp.random zeroes the biases; the long-row bias pass needs real ones.
+        net = Mlp.random(sizes, seed=seed)
+        rng = np.random.default_rng(seed)
+        for b in net.biases:
+            b[:] = rng.normal(size=b.shape)
+        return net
+
+    def assert_paths_match_expression(self, net, rows_list, seed=0):
+        rng = np.random.default_rng(seed)
+        for rows in rows_list:
+            x = rng.normal(size=(rows, net.in_dim))
+            expected = self.expression_forward(net, x)
+            assert np.array_equal(net.forward(x), expected), rows
+            assert np.array_equal(net._forward_cache(x)[0], expected), rows
+
+    @pytest.mark.parametrize("sizes", [[14, 64, 64, 1], [13, 64, 81]])
+    def test_long_row_passes_equal_expression_at_every_block_edge(self, sizes):
+        r = _BLOCK_ROWS
+        rows_list = [1, r - 1, r, r + 1, 81, 2 * r - 1, 2 * r, 2 * r + 1, 5184, 64]
+        self.assert_paths_match_expression(self.with_random_biases(sizes, seed=3), rows_list)
+
+    @pytest.mark.parametrize("sizes", [[14, 64, 64, 1], [13, 64, 81]])
+    def test_in_place_parameter_writes_reach_the_tiled_bias(self, sizes, tmp_path):
+        net = self.with_random_biases(sizes, seed=5)
+        rows_list = [5184, 2 * _BLOCK_ROWS + 1]
+        self.assert_paths_match_expression(net, rows_list)  # tiles the old biases
+        opt = Adam(learning_rate=0.1)
+        opt.step(net, np.random.default_rng(1).normal(size=net.theta.shape))
+        self.assert_paths_match_expression(net, rows_list, seed=1)
+        soft_update(net, self.with_random_biases(sizes, seed=6), tau=0.5)
+        self.assert_paths_match_expression(net, rows_list, seed=2)
+        path = tmp_path / "net.json"
+        save_network(self.with_random_biases(sizes, seed=7), str(path))
+        loaded = load_network(str(path))
+        self.assert_paths_match_expression(loaded, rows_list, seed=3)
+        net.theta[...] = loaded.theta
+        self.assert_paths_match_expression(net, rows_list, seed=4)
+
+    def test_warm_long_row_forward_allocates_no_layer_temporaries(self):
+        # One hidden layer of 5184 rows is 2.65 MB; a warm call allocates only
+        # its (5184, 1) output and the output layer's bias sum, 41 kB each.
+        net = self.with_random_biases([14, 64, 64, 1], seed=8)
+        x = np.random.default_rng(8).normal(size=(5184, 14))
+        net.forward(x)
+        tracemalloc.start()
+        try:
+            net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000, f"traced peak {peak / 1e3:.0f} kB"
 
 
 class TestMlpBackward:
@@ -456,6 +511,24 @@ class TestOptimizers:
         for _ in range(50):
             adam.step(net, rng.normal(size=net.theta.shape) * 100)
             assert np.all(np.isfinite(net.theta))
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(learning_rate=-1.0), "learning_rate"), (dict(learning_rate=0.0), "learning_rate"),
+        (dict(learning_rate=float("nan")), "learning_rate"),
+        (dict(learning_rate=float("inf")), "learning_rate"),
+        (dict(beta1=1.0), "beta1"), (dict(beta1=-0.1), "beta1"), (dict(beta1=float("nan")), "beta1"),
+        (dict(beta2=1.0), "beta2"), (dict(beta2=-1e-3), "beta2"),
+        (dict(eps=0.0), "eps"), (dict(eps=-1e-8), "eps"), (dict(eps=float("nan")), "eps"),
+    ])
+    def test_adam_rejects_bad_hyperparameters(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            Adam(**kwargs)
+
+    def test_adam_accepts_boundary_betas(self):
+        opt = Adam(learning_rate=1e-3, beta1=0.0, beta2=0.0, eps=1e-12)
+        net = Mlp.random([2, 2], seed=0)
+        opt.step(net, np.ones_like(net.theta))
+        assert np.all(np.isfinite(net.theta))
 
     @pytest.mark.parametrize("make_opt", [Adam])
     @pytest.mark.parametrize("bad", ["shape", "nan", "count", "other_net"])

@@ -229,6 +229,24 @@ class TestUpdatePriorities:
         with pytest.raises(ValueError):
             buf.update_priorities([0], [0.5, 0.6])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_error_rejected_before_any_write(self, bad):
+        buf = ReplayBuffer(4, eps_priority=0.01, state_dim=3)
+        for r in range(3):
+            buf.add(*transition(float(r)))
+        buf.update_priorities([0, 1], [2.0, 0.5])
+        priorities, weights = buf._priorities.copy(), buf._weights.copy()
+        with pytest.raises(ValueError, match="td_errors"):
+            buf.update_priorities([1, 2], [0.3, bad])
+        assert np.array_equal(buf._priorities, priorities)
+        assert np.array_equal(buf._weights, weights)
+        assert buf._max_priority == pytest.approx(2.01)
+        # Later adds and draws still see finite priorities.
+        buf.add(*transition(3.0))
+        assert buf.priority(3) == pytest.approx(2.01)
+        idx = buf.sample_indices(2000, np.random.default_rng(0))
+        assert set(idx.tolist()) == {0, 1, 2, 3}
+
 
 class TestInvariants:
     def test_priorities_never_below_eps(self):
