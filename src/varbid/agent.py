@@ -94,21 +94,23 @@ def _is_nfq1(net: Mlp, state_dim: int, n_actions: int) -> bool:
     return layouts[net.in_dim, net.out_dim]
 
 
-def _with_actions(states: np.ndarray, actions: np.ndarray, n_actions: int) -> np.ndarray:
-    """nfq1 input rows: each state followed by its normalized action index."""
-    return np.concatenate([states, (actions / (n_actions - 1))[:, None]], axis=1)
+def _nfq1_rows(states: np.ndarray, actions: np.ndarray, n_actions: int) -> np.ndarray:
+    """nfq1 input rows, state-major: state i followed by a / (n_actions - 1) for each
+    action a in row i of ``actions``, an (m, k) array or one (k,) row for every state."""
+    m, d = states.shape
+    k = actions.shape[-1]
+    rows = np.empty((m, k, d + 1))
+    rows[:, :, :d] = states[:, None, :]
+    rows[:, :, d] = actions / (n_actions - 1)
+    return rows.reshape(m * k, d + 1)
 
 
 def _q_matrix(net: Mlp, states: np.ndarray, n_actions: int) -> np.ndarray:
     """Q-values for every action at each state row; shape (len(states), n_actions)."""
-    m, d = states.shape
-    if not _is_nfq1(net, d, n_actions):
+    if not _is_nfq1(net, states.shape[1], n_actions):
         return net.forward(states)
-    # Row (i, a) is state i followed by a / (n_actions - 1), as _with_actions lays it out.
-    inputs = np.empty((m, n_actions, d + 1))
-    inputs[:, :, :d] = states[:, None, :]
-    inputs[:, :, d] = np.arange(n_actions) / (n_actions - 1)
-    return net.forward(inputs.reshape(m * n_actions, d + 1)).reshape(m, n_actions)
+    rows = _nfq1_rows(states, np.arange(n_actions), n_actions)
+    return net.forward(rows).reshape(len(states), n_actions)
 
 
 def q_values(net: Mlp, state: np.ndarray, n_actions: int = N_ACTIONS) -> np.ndarray:
@@ -310,10 +312,10 @@ def _one_training_pass(local: Mlp, target: Mlp, buffer: ReplayBuffer, opt,
     m = len(y)
     # The network input and the output entry that holds Q(s, a) for each row.
     if _is_nfq1(local, batch.states.shape[1], n_actions):
-        inputs, taken = _with_actions(batch.states, batch.actions, n_actions), (slice(None), 0)
+        inputs, taken = _nfq1_rows(batch.states, batch.actions[:, None], n_actions), (slice(None), 0)
     else:
         inputs, taken = batch.states, (np.arange(m), batch.actions)
-    out, cache = local._forward_cache(inputs)
+    out, cache = local._forward_cache(inputs)  # the backward pass runs before the next forward
     err = out[taken] - y
     loss = float(np.mean(err * err))
     if not np.isfinite(loss):

@@ -22,6 +22,15 @@ WINDOW = 24  # hours of history per prediction
 HOLDOUT_FRAC = 0.2  # trailing share of windows kept out of training and scored
 
 
+def _series_values(series) -> np.ndarray:
+    """The series as floats; it needs a training window and a held-out one."""
+    values = np.asarray(series, dtype=float)
+    if values.ndim != 1 or len(values) < WINDOW + 2 or not np.all(np.isfinite(values)):
+        raise ValueError(f"series must be 1-D and finite with >= {WINDOW + 2} values, "
+                         f"got shape {values.shape}")
+    return values
+
+
 def holdout_split(n_windows: int) -> int:
     """Index of the first held-out window: the last HOLDOUT_FRAC, at least one."""
     return n_windows - max(1, int(round(HOLDOUT_FRAC * n_windows)))
@@ -70,7 +79,7 @@ def holdout_mse(series, forecaster: Forecaster) -> tuple[float, float]:
 
     Both are evaluated on the raw series scale over identical target hours.
     """
-    values = np.asarray(series, dtype=float)
+    values = _series_values(series)
     split = holdout_split(len(values) - WINDOW)
     windows = np.lib.stride_tricks.sliding_window_view(values, WINDOW)[split:-1]
     targets = values[WINDOW + split:]
@@ -95,10 +104,7 @@ def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
                         (learning_rate > 0, f"learning_rate must be positive, got {learning_rate}")):
         if not ok:
             raise ValueError(message)
-    values = np.asarray(series, dtype=float)
-    if values.ndim != 1 or len(values) < WINDOW + 2 or not np.all(np.isfinite(values)):
-        raise ValueError(f"series must be 1-D and finite with >= {WINDOW + 2} values, "
-                         f"got shape {values.shape}")
+    values = _series_values(series)
     rng = np.random.default_rng(seed)
     lstm = Lstm.random(1, units, int(rng.integers(2**31)))
     forecaster = Forecaster(lstm=lstm, lo=float(values.min()), hi=float(values.max()))

@@ -202,16 +202,8 @@ def _write_manifest(config: ExperimentConfig, path: Path) -> None:
 
 
 @dataclass
-class SeedOutcome:
-    seed: int
-    converged_reward: float
-    converged_payment: float
-
-
-@dataclass
 class ExperimentSummary:
     config: ExperimentConfig
-    per_seed: list[SeedOutcome]
     mu: float
     sigma: float
     mean_payment: float
@@ -244,14 +236,8 @@ def _trace_rows(infos: list[dict], n_gencos: int) -> tuple[list[str], list[list]
     header += [f"qg_{k + 1}" for k in range(n_gencos)]
     header += [f"price_{k + 1}" for k in range(n_gencos)]
     header += ["reward"]
-    rows = []
-    for info in infos:
-        row = [info["t"], info["demand"], info["d_norm"], info["action"]]
-        row += list(info["bids_b1"]) + list(info["bids_b2"])
-        row += [float(v) for v in info["qg"]]
-        row += [float(v) for v in info["prices"]]
-        row += [info["reward"]]
-        rows.append(row)
+    rows = [[info["t"], info["demand"], info["d_norm"], info["action"], *info["bids_b1"],
+             *info["bids_b2"], *info["qg"], *info["prices"], info["reward"]] for info in infos]
     return header, rows
 
 
@@ -265,7 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     gencos = config.gencos()
     learner = config.learner_index()
     window = max(1, int(round(config.convergence_window * config.episodes)))
-    per_seed: list[SeedOutcome] = []
+    summary_rows = []  # seed, converged reward, converged truthful payment
     for seed in config.seeds:
         _, forecaster, _ = prepare_forecaster(config, seed)
         save_forecaster(forecaster, str(out / f"forecaster_seed{seed}.json"))
@@ -288,19 +274,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
         rewards = np.array([e.reward for e in result.episodes[-window:]])
         payments = np.array([e.baseline_payment for e in result.episodes[-window:]])
-        per_seed.append(SeedOutcome(seed, float(rewards.mean()), float(payments.mean())))
+        summary_rows.append([seed, float(rewards.mean()), float(payments.mean())])
 
-    values = np.array([s.converged_reward for s in per_seed])
-    payments = np.array([s.converged_payment for s in per_seed])
+    values = np.array([row[1] for row in summary_rows])
+    payments = np.array([row[2] for row in summary_rows])
     mu = float(values.mean())
     sigma = float(values.std(ddof=0))  # single seed: sigma is 0 by convention
-    summary_rows = [[s.seed, s.converged_reward, s.converged_payment] for s in per_seed]
     summary_rows.append(["mu", mu, float(payments.mean())])
     summary_rows.append(["sigma", sigma, float(payments.std(ddof=0))])
     _write_csv(out / "summary.csv", ("seed", "converged_reward", "converged_baseline_payment"),
                summary_rows)
-    return ExperimentSummary(config=config, per_seed=per_seed, mu=mu, sigma=sigma,
-                             mean_payment=float(payments.mean()), out_dir=str(out))
+    return ExperimentSummary(config=config, mu=mu, sigma=sigma, mean_payment=float(payments.mean()),
+                             out_dir=str(out))
 
 
 def run_matrix(config: ExperimentConfig, learners, strategies, variants) -> dict:

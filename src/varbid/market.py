@@ -201,11 +201,7 @@ def clear_market(bids, demand: float, gencos) -> MarketOutcome:
     total_cap = sum(qmax)
     if demand > total_cap + 1e-12:
         raise InfeasibleDemand(demand, total_cap)
-    return _clear(gencos, qmax, [float(b.b1) for b in bids], [float(b.b2) for b in bids], demand)
-
-
-def _clear(gencos, qmax, b1, b2, demand: float) -> MarketOutcome:
-    """Clear one feasible hour from plain-float bid lists."""
+    b1, b2 = [float(b.b1) for b in bids], [float(b.b2) for b in bids]
     x, lam = _solve_dispatch(b1, b2, qmax, demand)
     qg = np.array([g.bg + xi for g, xi in zip(gencos, x)])
     prices = np.array([b1i + 2.0 * b2i * xi for b1i, b2i, xi in zip(b1, b2, x)])
@@ -325,7 +321,6 @@ def demand_profile(episode_steps: int, seed: int,
 
 class EnvStep(NamedTuple):
     reward: float
-    outcome: MarketOutcome | None
     done: bool
     info: dict
 
@@ -349,7 +344,9 @@ class ReactiveMarketEnv:
     puts its bid (a1 c1, a2 c2) into the hour's rival bids, clears the
     market once and returns the profit difference to the truthful
     counterfactual as the reward. The batch clearing is a loop of the
-    scalar solver, so the neutral action (1, 1) earns exactly zero.
+    scalar solver, so the neutral action (1, 1) earns exactly zero. The
+    step's ``info`` holds the hour's bids, per-producer totals ``qg`` and
+    nodal ``prices`` as lists of floats, in producer order.
     """
 
     gencos: tuple = DEFAULT_GENCOS
@@ -365,16 +362,9 @@ class ReactiveMarketEnv:
             raise ValueError(f"unknown rival strategy {self.rival_strategy!r}")
         if self.episode_steps < MIN_EPISODE_STEPS:
             raise ValueError(f"episode needs at least {MIN_EPISODE_STEPS} steps")
-        self._t = len(self)  # unusable until reset
+        self._t = self.episode_steps  # unusable until reset
         self._bids_b1: list | None = None
         self._seed = None  # seed whose arrays are held
-
-    def __len__(self) -> int:
-        return self.episode_steps
-
-    @property
-    def t(self) -> int:
-        return self._t
 
     @property
     def demand_values(self) -> np.ndarray:
@@ -397,7 +387,7 @@ class ReactiveMarketEnv:
 
     def _build(self, seed: int) -> None:
         self._seed = None
-        self._t = len(self)  # stays unusable if the clearing below raises
+        self._t = self.episode_steps  # stays unusable if the clearing below raises
         full = demand_profile(self.episode_steps + WINDOW, seed, self.demand_config)
         self._lead_in_values = full.values[:WINDOW]
         self._values = full.values[WINDOW:]
@@ -434,7 +424,7 @@ class ReactiveMarketEnv:
         if self._bids_b1 is None:
             raise RuntimeError("call reset() before step()")
         if self._t >= self.episode_steps:
-            return EnvStep(0.0, None, True, {"exhausted": True})
+            return EnvStep(0.0, True, {"exhausted": True})
 
         t, k = self._t, self.learner
         me = self.gencos[k]
@@ -442,8 +432,9 @@ class ReactiveMarketEnv:
         b1 = list(self._bids_b1[t])
         b2 = list(self._bids_b2[t])
         b1[k], b2[k] = a1 * me.c1, a2 * me.c2
-        outcome = _clear(self.gencos, self._qmax, b1, b2, demand)
-        p = profit(float(outcome.prices[k]), float(outcome.qg[k]), me)
+        x, _ = _solve_dispatch(b1, b2, self._qmax, demand)
+        qg = [g.bg + xi for g, xi in zip(self.gencos, x)]
+        prices = [b1i + 2.0 * b2i * xi for b1i, b2i, xi in zip(b1, b2, x)]
         p_base = self._base_profit[t]
 
         self._t += 1
@@ -451,16 +442,14 @@ class ReactiveMarketEnv:
             "t": t,
             "demand": demand,
             "d_norm": float(self._d_norm[t]),
-            "total_quantity": float(outcome.qg.sum()),
-            "profit": p,
             "baseline_profit": p_base,
             "baseline_payment": self._base_payment[t],
             "bids_b1": b1,
             "bids_b2": b2,
-            "qg": outcome.qg,
-            "prices": outcome.prices,
+            "qg": qg,
+            "prices": prices,
         }
-        return EnvStep(p - p_base, outcome, self._t >= self.episode_steps, info)
+        return EnvStep(profit(prices[k], qg[k], me) - p_base, self._t >= self.episode_steps, info)
 
 
 def simulate_total_quantity(gencos=DEFAULT_GENCOS, demand_config: DemandConfig = DemandConfig(),

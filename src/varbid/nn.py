@@ -10,10 +10,10 @@ them as views into it, listed in ``theta`` order by ``params()``. Backward
 passes return one gradient vector in that order, so the optimizer, the
 soft update and the gradient checker each work on one vector. All
 arithmetic is float64; the gradient checks need the headroom.
-``Mlp.forward`` reuses per-network hidden-layer buffers, so a repeated
-call allocates only its output. Hidden-layer bias and ReLU passes over a
-batch of at least ``_BLOCK_ROWS`` rows run on blocks of rows viewed as long
-rows, which numpy handles at vector speed, with bit-identical values.
+``Mlp`` writes hidden layers into per-network buffers: a repeated forward
+allocates only its output, and the next call overwrites the layer inputs
+kept for backward. Bias and ReLU passes over ``_BLOCK_ROWS`` rows or more
+run on blocks viewed as long rows, at vector speed and bit-identical.
 """
 
 from __future__ import annotations
@@ -145,30 +145,30 @@ class Mlp:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network on a single vector or a (batch, in) array; the
-        result is a new array, the hidden layers reuse buffers sized to the largest batch.
-        Their bias and ReLU passes take each whole block of ``_BLOCK_ROWS`` rows as one long row."""
+        """Evaluate the network on a single vector or a (batch, in) array; returns a new array."""
+        return self._forward_cache(x)[0]
+
+    def _forward_cache(self, x: np.ndarray):
+        """Output and every layer's input. Hidden layers go into this network's buffers,
+        grown to the largest batch, so the next call on this network overwrites the layer
+        inputs: run the backward pass before it. Bias and ReLU passes take each whole
+        block of ``_BLOCK_ROWS`` rows as one long row."""
         x = np.asarray(x, dtype=float)
-        rows = len(x) if x.ndim == 2 else 1
+        if x.ndim not in (1, 2) or x.shape[-1] != self.in_dim:
+            raise ShapeError(f"input of shape {x.shape} is not a vector or a batch of "
+                             f"{self.in_dim}-feature rows")
+        a = x[None, :] if x.ndim == 1 else x
+        rows = len(a)
         if self._work and rows > len(self._work[0]):
             self._work = [np.empty((rows, w.shape[0])) for w in self.weights[:-1]]
-        out, _ = self._forward_cache(x, self._work if x.ndim <= 2 else None)
-        return out
-
-    def _forward_cache(self, x: np.ndarray, work: list[np.ndarray] | None = None):
-        """Output and every layer's input; hidden layers go into ``work[k][:rows]`` if given."""
-        single = x.ndim == 1
-        a = x[None, :] if single else x
-        if a.shape[-1] != self.in_dim:
-            raise ShapeError(f"input has {a.shape[-1]} features, network expects {self.in_dim}")
         layer_inputs = [a]
         for k, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            a = np.matmul(a, w.T, out=None if work is None else work[k][:len(a)])
+            a = np.matmul(a, w.T, out=self._work[k][:rows])
             tiled, zeros, zero_row = self._relu[k]
             rest = a
-            if len(a) >= _BLOCK_ROWS and a.ndim == 2:
-                split = len(a) - len(a) % _BLOCK_ROWS
-                # a is C-contiguous (a new matmul result or a buffer prefix): a view.
+            if rows >= _BLOCK_ROWS:
+                split = rows - rows % _BLOCK_ROWS
+                # A buffer prefix is C-contiguous, so this is a view.
                 blocks = a[:split].reshape(-1, len(tiled))
                 np.copyto(tiled.reshape(_BLOCK_ROWS, -1), b)
                 blocks += tiled
@@ -177,8 +177,9 @@ class Mlp:
             rest += b
             np.maximum(rest, zero_row, out=rest)
             layer_inputs.append(a)
-        out = a @ self.weights[-1].T + self.biases[-1]
-        return (out[0] if single else out), layer_inputs
+        out = a @ self.weights[-1].T
+        out += self.biases[-1]  # in place: one output-sized array, not two
+        return (out[0] if x.ndim == 1 else out), layer_inputs
 
     def _backward_from_cache(self, layer_inputs, g: np.ndarray) -> np.ndarray:
         """Gradient of the row-summed <output, g> for a (batch, out) g, laid out like theta."""

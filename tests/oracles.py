@@ -9,7 +9,6 @@ the nfq1 input rows the library built before it wrote them in place.
 
 import numpy as np
 
-from varbid.agent import _with_actions
 from varbid.market import B1_NOISE, Bid, GencoParams
 
 
@@ -252,7 +251,9 @@ def mlp_backward_reference(weights, biases, x, g):
 
 
 def nfq1_rows_reference(states, n_actions):
-    """nfq1 inputs for every (state, action) pair, state-major: repeat, tile, append."""
+    """nfq1 inputs for every (state, action) pair, state-major: repeat, tile, append
+    the action index over n_actions - 1."""
     states = np.asarray(states, dtype=float)
-    return _with_actions(np.repeat(states, n_actions, axis=0),
-                         np.tile(np.arange(n_actions), len(states)), n_actions)
+    actions = np.tile(np.arange(n_actions), len(states))
+    return np.concatenate([np.repeat(states, n_actions, axis=0),
+                           (actions / (n_actions - 1))[:, None]], axis=1)

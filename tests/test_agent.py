@@ -6,8 +6,8 @@ import pytest
 from oracles import nfq1_rows_reference, value_iteration
 from toy_env import REWARDS, TRANSITIONS, TwoStateMdp, ZeroRewardTask
 from varbid.agent import (BiddingTask, N_ACTIONS, STATE_DIM, StepRecord, TrainConfig,
-                          _q_matrix, action_decode, compute_targets, encode_state, q_values,
-                          select_action, td_error, train, warmup)
+                          _nfq1_rows, _q_matrix, action_decode, compute_targets, encode_state,
+                          q_values, select_action, td_error, train, warmup)
 from varbid.forecast import train_forecaster
 from varbid.harness import derive_env_seed
 from varbid.market import ReactiveMarketEnv, simulate_total_quantity
@@ -96,6 +96,10 @@ class TestQValues:
         expected = net.forward(reference).reshape(m, N_ACTIONS)
         assert np.array_equal(_q_matrix(net, states, N_ACTIONS), expected)
         assert np.array_equal(expected, net._forward_cache(reference)[0].reshape(m, N_ACTIONS))
+        # The training batch's rows: each state with its taken action only.
+        actions = np.random.default_rng(m + 1).integers(N_ACTIONS, size=m)
+        taken = reference[np.arange(m) * N_ACTIONS + actions]
+        assert np.array_equal(_nfq1_rows(states, actions[:, None], N_ACTIONS), taken)
 
     def test_warm_nfq1_target_pass_allocates_under_1mb(self):
         # A cold call sizes the net's buffers; a warm one allocates only its

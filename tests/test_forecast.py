@@ -98,6 +98,14 @@ class TestTrainLstm:
             with pytest.raises(ValueError, match="finite"):
                 train_forecaster(np.r_[series, bad], epochs=0)
 
+    def test_holdout_mse_rejects_what_the_fit_rejects(self):
+        series = demand_profile(60, seed=0).values
+        fc, _ = train_forecaster(series, units=3, epochs=0, seed=0)
+        assert np.all(np.isfinite(holdout_mse(series[:26], fc)))
+        for bad in (series[:24], series[:25], np.r_[series, np.nan], series.reshape(2, 30)):
+            with pytest.raises(ValueError, match="^series must be 1-D and finite with >= 26"):
+                holdout_mse(bad, fc)
+
     @pytest.mark.parametrize("name, value", [("units", 0), ("epochs", -1), ("batch_size", 0),
                                              ("learning_rate", 0.0), ("learning_rate", -1.0),
                                              ("learning_rate", float("nan"))])

@@ -323,15 +323,17 @@ class TestEnv:
             assert step.done == (k == 29)
         extra = env.step((1.5, 1.5))
         assert extra.done
-        assert extra.info.get("exhausted")
-        assert extra.outcome is None
+        assert extra.info == {"exhausted": True}
+        assert extra.reward == 0.0
 
     def test_reset_restores_step_counter_and_series(self):
         env = ReactiveMarketEnv(episode_steps=40)
         first = env.reset(7)
         env.step((2.0, 2.0))
         again = env.reset(7)
-        assert env.t == 0
+        steps = [env.step((2.0, 2.0)) for _ in range(40)]
+        assert [s.info["t"] for s in steps] == list(range(40))
+        assert [s.done for s in steps] == [False] * 39 + [True]
         assert np.array_equal(first, again)
         assert np.array_equal(env.demand_values, env.demand_values)
 
@@ -358,7 +360,7 @@ class TestEnv:
         env.reset(0)
         step = env.step((5.0, 5.0))
         d = step.info["demand"]
-        assert step.outcome.qg[0] == pytest.approx(0.0, abs=1e-12)  # priced out
+        assert step.info["qg"][0] == pytest.approx(0.0, abs=1e-12)  # priced out
         p_base = 0.5 * (d / 2) ** 2
         assert step.info["baseline_profit"] == pytest.approx(p_base, abs=1e-9)
         assert step.reward == pytest.approx(-p_base, abs=1e-9)
@@ -419,12 +421,14 @@ class TestEnvMatchesReference:
                                 episode_steps=steps)
         env.reset(seed)
         expected = _reference_episode(gencos, 1, strategy, seed, actions, steps)
+        me = gencos[1]
         for action, (reward, out, p_base, payment) in zip(actions, expected):
             step = env.step(action)
+            qg, prices = step.info["qg"], step.info["prices"]
             assert step.reward == reward
-            assert np.array_equal(step.outcome.qg, out.qg)
-            assert np.array_equal(step.outcome.prices, out.prices)
-            assert step.outcome.shadow_price == out.shadow_price
+            assert all(type(v) is float for v in qg + prices)
+            assert qg == out.qg.tolist() and prices == out.prices.tolist()
+            assert step.reward == profit(prices[1], qg[1], me) - step.info["baseline_profit"]
             assert step.info["baseline_profit"] == p_base
             assert step.info["baseline_payment"] == payment
 
@@ -452,16 +456,14 @@ class TestEnvMatchesReference:
 def _episode(env, seed, actions):
     lead = env.reset(seed)
     steps = [env.step(a) for a in actions]
-    return lead, [(s.reward, s.done, s.outcome, s.info) for s in steps]
+    return lead, [(s.reward, s.done, s.info) for s in steps]
 
 
 def _assert_same_episode(a, b):
     assert np.array_equal(a[0], b[0])
     assert len(a[1]) == len(b[1])
-    for (ra, da, oa, ia), (rb, db, ob, ib) in zip(a[1], b[1]):
+    for (ra, da, ia), (rb, db, ib) in zip(a[1], b[1]):
         assert ra == rb and da == db
-        assert np.array_equal(oa.qg, ob.qg) and np.array_equal(oa.prices, ob.prices)
-        assert oa.shadow_price == ob.shadow_price
         assert ia.keys() == ib.keys()
         for key in ia:
             assert np.array_equal(ia[key], ib[key]), key

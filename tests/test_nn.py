@@ -102,6 +102,8 @@ class TestMlpForward:
         net = Mlp.random([6, 3], seed=0)
         with pytest.raises(ShapeError):
             net.forward(np.zeros(5))
+        with pytest.raises(ShapeError, match=r"\(2, 4, 6\)"):
+            net.forward(np.zeros((2, 4, 6)))
 
     def test_batch_matches_rowwise(self):
         net = Mlp.random([4, 7, 2], seed=9)
@@ -221,6 +223,20 @@ class TestMlpWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 200_000, f"traced peak {peak / 1e3:.0f} kB"
+
+    def test_warm_wide_output_allocates_one_output_array(self):
+        # The (5184, 81) output is 3.36 MB; adding the bias in place keeps a
+        # second output-sized temporary from being allocated.
+        net = self.with_random_biases([13, 64, 81], seed=9)
+        x = np.random.default_rng(9).normal(size=(5184, 13))
+        net.forward(x)
+        tracemalloc.start()
+        try:
+            out = net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * out.nbytes, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestMlpBackward:
