@@ -22,5 +22,5 @@ t = 700
 window = series[t - 24:t]
 print(f"example hour t={t}:")
 print(f"  truth            {series[t]:.4f}")
-print(f"  LSTM             {forecaster.predict(window):.4f}")
+print(f"  LSTM             {forecaster.predict_batch(window[None, :])[0]:.4f}")
 print(f"  two-lag reference {baseline_predict(series, t):.4f}")

@@ -51,20 +51,19 @@ def _split(args, option: str, convert) -> list:
 
 
 def _cmd_run(args) -> int:
-    summary = harness.run_experiment(_build_config(args))
-    print(f"learner {summary.config.learner_id} | rivals {summary.config.strategy} "
-          f"| {summary.config.variant} | seeds {summary.config.seeds}")
+    config = _build_config(args)
+    summary = harness.run_experiment(config)
+    print(f"learner {config.learner_id} | rivals {config.strategy} "
+          f"| {config.variant} | seeds {config.seeds}")
     print(f"converged episodic reward: mu={summary.mu:.6g} sigma={summary.sigma:.6g}")
-    print(f"outputs in {summary.out_dir}")
+    print(f"outputs in {config.out_dir}")
     return 0
 
 
 def _cmd_matrix(args) -> int:
     config = _build_config(args)
-    learners = _split(args, "learners", int)
-    strategies = args.strategies.split(",")
-    variants = args.variants.split(",")
-    result = harness.run_matrix(config, learners, strategies, variants)
+    result = harness.run_matrix(config, _split(args, "learners", int),
+                                args.strategies.split(","), args.variants.split(","))
     print(f"{len(result['summaries'])} cells completed, {len(result['errors'])} failed")
     for (learner, strategy, variant), summary in result["summaries"].items():
         print(f"  L{learner} {strategy} {variant}: mu={summary.mu:.6g} sigma={summary.sigma:.6g}")
@@ -81,7 +80,10 @@ def _cmd_sweep(args) -> int:
         flag = " DIVERGED" if record["diverged"] else ""
         print(f"  {args.parameter}={record['value']}: mu={record['mu']:.6g}"
               f" sigma={record['sigma']:.6g}{flag}")
-    return 0
+    failed = [r for r in records if "error" in r and not r["diverged"]]
+    for record in failed:
+        print(f"  FAILED {args.parameter}={record['value']}: {record['error']}")
+    return 1 if failed else 0
 
 
 def _cmd_trace(args) -> int:

@@ -56,22 +56,20 @@ class Forecaster:
         span = self.hi - self.lo
         return (window - self.lo) / span if span > 0 else np.zeros_like(window)
 
-    def predict(self, last_24) -> float:
-        """Next-hour prediction on the original series scale."""
-        window = np.asarray(last_24, dtype=float)
-        if window.shape != (WINDOW,):
-            raise ValueError(f"window must have shape ({WINDOW},), got {window.shape}")
-        return float(self.predict_batch(window[None, :])[0])
-
-    def predict_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Raw-scale predictions for a (n, 24) array of raw-scale windows."""
+    def _forward(self, windows) -> np.ndarray:
+        """Normalized predictions; the window check of both predict methods."""
         windows = np.asarray(windows, dtype=float)
-        preds = self.lstm.forward_batch(self._normalize(windows))
-        return self.lo + preds * (self.hi - self.lo)
-
-    def predict_batch_normalized(self, windows: np.ndarray) -> np.ndarray:
-        windows = np.asarray(windows, dtype=float)
+        if windows.ndim != 2 or windows.shape[1] != WINDOW:
+            raise ShapeError(f"windows must have shape (n, {WINDOW}), got {windows.shape}")
         return self.lstm.forward_batch(self._normalize(windows))
+
+    def predict_batch(self, windows) -> np.ndarray:
+        """Raw-scale predictions for a (n, 24) array of raw-scale windows."""
+        return self.lo + self._forward(windows) * (self.hi - self.lo)
+
+    def predict_batch_normalized(self, windows) -> np.ndarray:
+        """Normalized-scale predictions for a (n, 24) array of raw-scale windows."""
+        return self._forward(windows)
 
 
 def holdout_mse(series, forecaster: Forecaster) -> tuple[float, float]:

@@ -11,6 +11,10 @@ the accepted keys); command-line flags override file values, which
 override defaults. All randomness derives from one root seed per run
 through fixed sub-streams, so re-running a configuration reproduces every
 output CSV byte for byte.
+
+``run_matrix`` and ``sweep`` share one cell runner: it validates every
+cell before the first run, records a failing run while the others go on,
+and fits each distinct forecaster once per call.
 """
 
 from __future__ import annotations
@@ -203,11 +207,9 @@ def _write_manifest(config: ExperimentConfig, path: Path) -> None:
 
 @dataclass
 class ExperimentSummary:
-    config: ExperimentConfig
     mu: float
     sigma: float
     mean_payment: float
-    out_dir: str
 
 
 def derive_env_seed(seed: int) -> int:
@@ -229,13 +231,16 @@ def prepare_forecaster(config: ExperimentConfig,
     return series, forecaster, train_mse
 
 
+def _forecaster_inputs(config: ExperimentConfig, seed: int) -> tuple:
+    """Everything prepare_forecaster reads; equal inputs give the same fit."""
+    return (seed, tuple(config.gencos()), config.demand_config(), config.forecaster_series_steps,
+            config.forecaster_units, config.forecaster_epochs, config.forecaster_batch_size,
+            config.forecaster_learning_rate)
+
+
 def _trace_rows(infos: list[dict], n_gencos: int) -> tuple[list[str], list[list]]:
-    header = ["t", "demand", "d_norm", "action"]
-    for tag in ("b1", "b2"):
-        header += [f"{tag}_{k + 1}" for k in range(n_gencos)]
-    header += [f"qg_{k + 1}" for k in range(n_gencos)]
-    header += [f"price_{k + 1}" for k in range(n_gencos)]
-    header += ["reward"]
+    header = ["t", "demand", "d_norm", "action", *(f"{tag}_{k + 1}" for tag in (
+        "b1", "b2", "qg", "price") for k in range(n_gencos)), "reward"]
     rows = [[info["t"], info["demand"], info["d_norm"], info["action"], *info["bids_b1"],
              *info["bids_b2"], *info["qg"], *info["prices"], info["reward"]] for info in infos]
     return header, rows
@@ -243,6 +248,11 @@ def _trace_rows(infos: list[dict], n_gencos: int) -> tuple[list[str], list[list]
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Train per seed and write curves, checkpoints, traces, and the summary."""
+    return _run_cell(config, {})
+
+
+def _run_cell(config: ExperimentConfig, fits: dict) -> ExperimentSummary:
+    """run_experiment, reusing and adding to ``fits``, keyed by _forecaster_inputs."""
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -253,7 +263,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     window = max(1, int(round(config.convergence_window * config.episodes)))
     summary_rows = []  # seed, converged reward, converged truthful payment
     for seed in config.seeds:
-        _, forecaster, _ = prepare_forecaster(config, seed)
+        key = _forecaster_inputs(config, seed)
+        forecaster = fits[key] = fits.get(key) or prepare_forecaster(config, seed)[1]
         save_forecaster(forecaster, str(out / f"forecaster_seed{seed}.json"))
         env = ReactiveMarketEnv(gencos=tuple(gencos), learner=learner,
                                 rival_strategy=config.strategy,
@@ -284,41 +295,48 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     summary_rows.append(["sigma", sigma, float(payments.std(ddof=0))])
     _write_csv(out / "summary.csv", ("seed", "converged_reward", "converged_baseline_payment"),
                summary_rows)
-    return ExperimentSummary(config=config, mu=mu, sigma=sigma, mean_payment=float(payments.mean()),
-                             out_dir=str(out))
+    return ExperimentSummary(mu=mu, sigma=sigma, mean_payment=float(payments.mean()))
+
+
+def _run_grid(config: ExperimentConfig, label: str, cells: list) -> tuple[dict, dict]:
+    """Run ``(name, field changes)`` cells of ``config`` in order, sharing forecaster fits.
+
+    Every cell is built, and so validated, before the first run; a bad one raises
+    ConfigError naming ``label`` and the cell. Returns (summaries, exceptions) by name.
+    """
+    built = []
+    for name, changes in cells:
+        try:
+            built.append((name, dataclasses.replace(config, **changes)))
+        except ConfigError as exc:
+            raise ConfigError(f"{label} {name}: {exc}") from exc
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    summaries, errors, fits = {}, {}, {}
+    for name, cell in built:
+        try:
+            summaries[name] = _run_cell(cell, fits)
+        except Exception as exc:  # a cell failure must not stop the grid
+            errors[name] = exc
+    return summaries, errors
 
 
 def run_matrix(config: ExperimentConfig, learners, strategies, variants) -> dict:
-    """Cross-product of (learner, strategy, variant) cells; failures recorded,
-    remaining cells continue. Emits one mu/sigma table per (strategy, variant)."""
+    """Cross-product of (learner, strategy, variant) cells: one mu/sigma table per
+    (strategy, variant), and errors.txt naming each cell whose run failed."""
     if not learners or not strategies or not variants:
         raise ConfigError("matrix: learners, strategies and variants must be nonempty")
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summaries: dict = {}
-    errors: dict = {}
-    for strategy in strategies:
-        for variant in variants:
-            for learner in learners:
-                try:
-                    cell = dataclasses.replace(
-                        config, learner_id=learner, strategy=strategy, variant=variant,
-                        out_dir=str(out / f"L{learner}_{strategy}_{variant}"))
-                    summaries[(learner, strategy, variant)] = run_experiment(cell)
-                except Exception as exc:  # cell failure must not stop the matrix
-                    errors[(learner, strategy, variant)] = f"{type(exc).__name__}: {exc}"
-            header = ["metric"] + [str(l) for l in learners]
-            mu_row = ["mu"] + [
-                summaries[(l, strategy, variant)].mu if (l, strategy, variant) in summaries
-                else "nan" for l in learners]
-            sigma_row = ["sigma"] + [
-                summaries[(l, strategy, variant)].sigma if (l, strategy, variant) in summaries
-                else "nan" for l in learners]
-            _write_csv(out / f"table_{strategy}_{variant}.csv", header, [mu_row, sigma_row])
+    summaries, failures = _run_grid(config, "matrix cell", [
+        ((l, s, v), dict(learner_id=l, strategy=s, variant=v, out_dir=str(out / f"L{l}_{s}_{v}")))
+        for s in strategies for v in variants for l in learners])
+    for s in strategies:
+        for v in variants:
+            cells = [summaries.get((l, s, v)) for l in learners]
+            rows = [[m] + [getattr(c, m) if c else "nan" for c in cells] for m in ("mu", "sigma")]
+            _write_csv(out / f"table_{s}_{v}.csv", ["metric", *map(str, learners)], rows)
+    errors = {key: f"{type(exc).__name__}: {exc}" for key, exc in failures.items()}
     if errors:
-        with open(out / "errors.txt", "w") as fh:
-            for key, message in errors.items():
-                fh.write(f"{key}: {message}\n")
+        (out / "errors.txt").write_text("".join(f"{k}: {m}\n" for k, m in errors.items()))
     return {"summaries": summaries, "errors": errors}
 
 
@@ -328,41 +346,32 @@ SWEEP_PARAMETERS = ("gamma", "batch_size", "epsilon_decay")
 def sweep(config: ExperimentConfig, parameter: str, values) -> list[dict]:
     """Hyperparameter study on the reference cell (learner 2, b1 rivals, nfq2).
 
-    Runs one experiment per value; a run that diverges numerically is
-    flagged rather than fatal. Emits sweep_<parameter>.csv plus per-value
-    run directories with full curves.
+    Runs one experiment per value. A run that diverges numerically is
+    flagged; any other failure is recorded with its error, not flagged.
+    Emits sweep_<parameter>.csv plus per-value run directories with full curves.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
     if not values:
         raise ConfigError("sweep: need at least one value")
     as_int = _TYPES[parameter] == "int"
-    out = Path(config.out_dir)
-    cells = []  # every cell is built, and so validated, before the first run
     for v in values:
         if as_int and not float(v).is_integer():
             raise ConfigError(f"sweep {parameter} value {v} must be an integer")
-        try:
-            cells.append(dataclasses.replace(
-                config, learner_id=2, strategy="b1", variant="nfq2",
-                out_dir=str(out / f"sweep_{parameter}" / str(v)),
-                **{parameter: int(v) if as_int else float(v)}))
-        except ConfigError as exc:
-            raise ConfigError(f"sweep {parameter} value {v}: {exc}") from exc
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    results = []
-    for v, cell in zip(values, cells):
-        try:
-            summary = run_experiment(cell)
-            record = {"value": v, "mu": summary.mu, "sigma": summary.sigma, "diverged": False}
-        except NumericError as exc:
-            record = {"value": v, "mu": float("nan"), "sigma": float("nan"),
-                      "diverged": True, "error": str(exc)}
-        rows.append([record["value"], record["mu"], record["sigma"], record["diverged"]])
-        results.append(record)
-    _write_csv(out / f"sweep_{parameter}.csv", ("value", "mu", "sigma", "diverged"), rows)
-    return results
+    out = Path(config.out_dir)
+    summaries, errors = _run_grid(config, f"sweep {parameter} value", [
+        (v, {"learner_id": 2, "strategy": "b1", "variant": "nfq2",
+             "out_dir": str(out / f"sweep_{parameter}" / str(v)),
+             parameter: int(v) if as_int else float(v)}) for v in values])
+    nan = float("nan")
+    records = [
+        {"value": v, "mu": summaries[v].mu, "sigma": summaries[v].sigma, "diverged": False}
+        if v in summaries else
+        {"value": v, "mu": nan, "sigma": nan, "diverged": isinstance(errors[v], NumericError),
+         "error": f"{type(errors[v]).__name__}: {errors[v]}"} for v in values]
+    _write_csv(out / f"sweep_{parameter}.csv", ("value", "mu", "sigma", "diverged"),
+               [[r["value"], r["mu"], r["sigma"], r["diverged"]] for r in records])
+    return records
 
 
 def emit_trace(trace_csv: str, window: tuple[int, int], out_path: str) -> int:

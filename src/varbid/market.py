@@ -288,9 +288,6 @@ class DemandSeries:
     values: np.ndarray
     normalized: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def demand_profile(episode_steps: int, seed: int,
                    config: DemandConfig = DemandConfig()) -> DemandSeries:

@@ -13,7 +13,7 @@ from toy_env import REWARDS, TRANSITIONS, TwoStateMdp
 from varbid import cli
 from varbid.agent import TrainConfig, q_values, train
 from varbid.forecast import holdout_mse, train_forecaster
-from varbid.harness import ExperimentConfig, run_experiment
+from varbid.harness import ExperimentConfig, run_matrix
 from varbid.market import (DEFAULT_GENCOS, Bid, GencoParams, ReactiveMarketEnv,
                            clear_market, simulate_total_quantity)
 from varbid.nn import Lstm, Mlp, grad_check
@@ -150,10 +150,11 @@ DESK_SCALE = dict(
 def test_criterion_7_desk_scale_learning(tmp_path):
     mus: dict[int, float] = {}
     tols: dict[int, float] = {}
+    result = run_matrix(ExperimentConfig(out_dir=str(tmp_path), **DESK_SCALE),
+                        learners=(1, 2, 3, 4, 5, 6), strategies=("b1",), variants=("nfq2",))
+    assert not result["errors"], result["errors"]
     for learner in (1, 2, 3, 4, 5, 6):
-        config = ExperimentConfig(learner_id=learner,
-                                  out_dir=str(tmp_path / f"L{learner}"), **DESK_SCALE)
-        summary = run_experiment(config)
+        summary = result["summaries"][(learner, "b1", "nfq2")]
         mus[learner] = summary.mu
         tols[learner] = 0.01 * summary.mean_payment
         print(f"  learner {learner}: converged mu {summary.mu:+.4f} "

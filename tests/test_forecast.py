@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestTrainLstm:
     def test_constant_series_fits_by_bias(self):
         fc, mse = train_forecaster(np.full(80, 5.0), units=4, epochs=30, seed=1)
         assert mse < 1e-4
-        assert fc.predict(np.full(24, 5.0)) == 5.0
+        assert fc.predict_batch(np.full((1, 24), 5.0))[0] == 5.0
 
     def test_learns_periodic_series_better_than_two_lag(self):
         series = simulate_total_quantity(seed=3, steps=480)
@@ -133,25 +134,31 @@ class TestPredict:
         lstm = Lstm.zeros(1, 4)
         lstm.b_out[0] = 0.5
         fc = Forecaster(lstm=lstm, lo=10.0, hi=20.0)
-        assert fc.predict(np.full(24, 12.0)) == pytest.approx(15.0)
+        assert fc.predict_batch(np.full((1, 24), 12.0))[0] == pytest.approx(15.0)
+        assert fc.predict_batch_normalized(np.full((1, 24), 12.0))[0] == 0.5
 
     def test_wrong_window_length_rejected(self):
         fc = Forecaster(lstm=Lstm.zeros(1, 2), lo=0.0, hi=1.0)
-        with pytest.raises(ValueError):
-            fc.predict(np.zeros(23))
+        for shape in ((1, 23), (2, 5), (24,), (1, 24, 1), (3, 25)):
+            for predict in (fc.predict_batch, fc.predict_batch_normalized):
+                with pytest.raises(ShapeError, match=rf"^windows must have shape \(n, 24\), "
+                                                     rf"got {re.escape(str(shape))}$"):
+                    predict(np.zeros(shape))
 
     def test_inference_is_deterministic(self):
         series = demand_profile(120, seed=9).values
         fc, _ = train_forecaster(series, units=8, epochs=3, seed=0)
-        window = series[-24:]
-        assert fc.predict(window) == fc.predict(window)
+        windows = np.lib.stride_tricks.sliding_window_view(series, WINDOW)
+        assert np.array_equal(fc.predict_batch(windows), fc.predict_batch(windows))
+        assert np.array_equal(fc.predict_batch(windows),
+                              fc.lo + fc.predict_batch_normalized(windows) * (fc.hi - fc.lo))
 
     def test_noise_free_periodic_prediction_close(self):
         cfg = DemandConfig(noise_amplitude=0.0)
         series = demand_profile(480, seed=0, config=cfg).values
         fc, _ = train_forecaster(series, units=16, epochs=40, seed=2)
         t = 400
-        predicted = fc.predict(series[t - 24:t])
+        predicted = fc.predict_batch(series[None, t - 24:t])[0]
         assert predicted == pytest.approx(series[t], rel=0.05)
 
 
@@ -162,8 +169,8 @@ class TestPersistence:
         path = tmp_path / "fc.json"
         save_forecaster(fc, str(path))
         loaded = load_forecaster(str(path))
-        window = series[-24:]
-        assert loaded.predict(window) == fc.predict(window)
+        windows = np.lib.stride_tricks.sliding_window_view(series, WINDOW)
+        assert np.array_equal(loaded.predict_batch(windows), fc.predict_batch(windows))
 
     def test_per_gate_checkpoint_rejected_with_layout(self, tmp_path):
         # A forecaster saved before stacked gates: (W, U, b) for f, i, g, o, then the head.
@@ -198,7 +205,7 @@ class TestPersistence:
     def test_constant_series_scale_loads(self, tmp_path):
         path = tmp_path / "fc.json"
         save_forecaster(Forecaster(lstm=Lstm.random(1, 3, seed=0), lo=0.4, hi=0.4), str(path))
-        assert np.isfinite(load_forecaster(str(path)).predict(np.full(24, 0.4)))
+        assert np.isfinite(load_forecaster(str(path)).predict_batch(np.full((1, 24), 0.4))[0])
 
     def test_series_csv_round_trip(self, tmp_path):
         series = demand_profile(60, seed=1).values

@@ -1,14 +1,16 @@
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from varbid import cli
+from varbid import cli, harness
 from varbid.harness import (SCHEMA, ConfigError, ExperimentConfig, _write_manifest,
                             build_config, emit_trace, parse_config_file, run_experiment,
                             run_matrix, sweep)
 from varbid.market import DEFAULT_GENCOS
+from varbid.nn import NumericError
 
 
 def tiny_kwargs(out_dir, **overrides):
@@ -32,6 +34,45 @@ def tiny_config(out_dir, **overrides) -> ExperimentConfig:
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def write_config(path, **kwargs) -> str:
+    path.write_text("".join(
+        f"{k} = {','.join(str(s) for s in v) if isinstance(v, tuple) else v}\n"
+        for k, v in kwargs.items()))
+    return str(path)
+
+
+def count_fits(monkeypatch) -> list:
+    """Patch the harness's forecaster fit to record each call's seed."""
+    calls = []
+    real = harness.train_forecaster
+
+    def fit(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_forecaster", fit)
+    return calls
+
+
+def fail_train(monkeypatch, failure):
+    """Patch the harness's training call to raise ``failure(config)`` where it is not None."""
+    real = harness.train
+
+    def train(task, config, seed):
+        exc = failure(config)
+        if exc is not None:
+            raise exc
+        return real(task, config, seed)
+
+    monkeypatch.setattr(harness, "train", train)
+
+
+def write_gencos(path, gencos) -> str:
+    path.write_text("id,c1,c2,bg,q_max\n" + "".join(
+        f"{g.id},{g.c1},{g.c2},{g.bg},{g.q_max}\n" for g in gencos))
+    return str(path)
 
 
 class TestConfigParsing:
@@ -86,12 +127,10 @@ class TestConfigParsing:
         assert values["max_iterations"] == 50
 
     def test_manifest_round_trips_every_field(self, tmp_path):
-        table = tmp_path / "gencos.csv"
-        table.write_text("id,c1,c2,bg,q_max\n" + "".join(
-            f"{g.id},{g.c1},{g.c2},{g.bg},{g.q_max}\n" for g in DEFAULT_GENCOS))
+        table = write_gencos(tmp_path / "gencos.csv", DEFAULT_GENCOS)
         config = ExperimentConfig(
             learner_id=3, strategy="b2", variant="nfq1", seeds=(4, 7), episodes=5,
-            episode_steps=48, out_dir=str(tmp_path / "out"), genco_table=str(table),
+            episode_steps=48, out_dir=str(tmp_path / "out"), genco_table=table,
             trace=False, convergence_window=0.25, forecaster_units=8, forecaster_epochs=3,
             forecaster_batch_size=16, forecaster_learning_rate=0.002,
             forecaster_series_steps=240, gamma=0.45, epsilon0=0.9, epsilon_decay=0.2,
@@ -186,15 +225,29 @@ class TestMatrix:
         with pytest.raises(ConfigError):
             run_matrix(tiny_config(tmp_path / "m2"), [1], ["b1"], [])
 
-    def test_cell_failure_recorded_and_others_continue(self, tmp_path):
+    def test_cell_failure_recorded_and_others_continue(self, tmp_path, monkeypatch):
+        fail_train(monkeypatch, lambda c: RuntimeError("injected") if c.learner_id == 1 else None)
         config = tiny_config(tmp_path / "m3", seeds=(0,), trace=False, episodes=2)
-        # learner 9 is not in the producer table: that cell fails, 2 completes
-        result = run_matrix(config, learners=[9, 2], strategies=["b2"], variants=["nfq2"])
-        assert (9, "b2", "nfq2") in result["errors"]
-        assert (2, "b2", "nfq2") in result["summaries"]
-        assert (tmp_path / "m3" / "errors.txt").exists()
+        result = run_matrix(config, learners=[1, 2], strategies=["b2"], variants=["nfq2"])
+        assert result["errors"] == {(1, "b2", "nfq2"): "RuntimeError: injected"}
+        assert list(result["summaries"]) == [(2, "b2", "nfq2")]
+        assert ((tmp_path / "m3" / "errors.txt").read_text()
+                == "(1, 'b2', 'nfq2'): RuntimeError: injected\n")
         table = read_rows(tmp_path / "m3" / "table_b2_nfq2.csv")
-        assert table[0]["9"] == "nan"
+        assert table[0]["1"] == "nan"
+        assert float(table[0]["2"]) == result["summaries"][(2, "b2", "nfq2")].mu
+        assert (tmp_path / "m3" / "L2_b2_nfq2" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("learners, strategies, cell", [
+        ([2, 9], ["b2"], r"\(9, 'b2', 'nfq2'\): learner_id: 9 not in producer table"),
+        ([2], ["b2", "b3"], r"\(2, 'b3', 'nfq2'\): strategy: must be one of"),
+    ], ids=["unknown-learner", "unknown-strategy"])
+    def test_bad_cell_rejected_before_any_directory_is_written(self, tmp_path, learners,
+                                                               strategies, cell):
+        config = tiny_config(tmp_path / "m5", seeds=(0,), trace=False, episodes=2)
+        with pytest.raises(ConfigError, match=rf"^matrix cell {cell}"):
+            run_matrix(config, learners, strategies, ["nfq2"])
+        assert not (tmp_path / "m5").exists()
 
     def test_matrix_cell_count(self, tmp_path):
         config = tiny_config(tmp_path / "m4", seeds=(0,), trace=False, episodes=2)
@@ -227,6 +280,72 @@ class TestSweep:
         config = tiny_config(tmp_path / "s4", seeds=(0,), trace=False, episodes=2)
         records = sweep(config, "batch_size", [8, 16])
         assert all(not r["diverged"] for r in records)
+
+    def test_any_failure_recorded_only_divergence_flagged(self, tmp_path, monkeypatch):
+        failures = {0.1: NumericError("loss went non-finite"), 0.2: KeyError("lost")}
+        fail_train(monkeypatch, lambda c: failures.get(c.gamma))
+        config = tiny_config(tmp_path / "s5", seeds=(0,), trace=False, episodes=2)
+        records = sweep(config, "gamma", [0.1, 0.2, 0.3])
+        assert [(r["diverged"], r.get("error")) for r in records] == [
+            (True, "NumericError: loss went non-finite"), (False, "KeyError: 'lost'"),
+            (False, None)]
+        assert np.isnan(records[1]["mu"]) and np.isfinite(records[2]["mu"])
+        rows = read_rows(tmp_path / "s5" / "sweep_gamma.csv")
+        assert [(r["mu"], r["diverged"]) for r in rows[:2]] == [("nan", "True"), ("nan", "False")]
+
+
+class TestSharedForecasterFits:
+    def test_matrix_fits_once_per_seed_and_matches_a_separate_run(self, tmp_path, monkeypatch):
+        calls = count_fits(monkeypatch)
+        config = tiny_config(tmp_path / "m", trace=False, episodes=2)  # seeds 0 and 1
+        result = run_matrix(config, learners=[1, 2], strategies=["b2"], variants=["nfq2"])
+        assert not result["errors"]
+        assert len(calls) == 2
+        alone = tmp_path / "alone"
+        run_experiment(dataclasses.replace(config, learner_id=2, strategy="b2",
+                                           out_dir=str(alone)))
+        assert len(calls) == 4
+        for seed in (0, 1):
+            name = f"forecaster_seed{seed}.json"
+            for cell in ("L1_b2_nfq2", "L2_b2_nfq2"):
+                assert (tmp_path / "m" / cell / name).read_bytes() == (alone / name).read_bytes()
+            for name in (f"curve_seed{seed}.csv", "summary.csv"):
+                assert ((tmp_path / "m" / "L2_b2_nfq2" / name).read_bytes()
+                        == (alone / name).read_bytes())
+
+    def test_cell_with_other_forecaster_inputs_gets_its_own_fit(self, tmp_path, monkeypatch):
+        calls = count_fits(monkeypatch)
+        config = tiny_config(tmp_path / "g", seeds=(0,), trace=False, episodes=2)
+        cheaper = [dataclasses.replace(g, c1=0.5 * g.c1) for g in DEFAULT_GENCOS]
+        changes = {
+            "base": {},
+            "learner": {"learner_id": 3, "gamma": 0.5},  # not read by the fit: shared
+            "same_table": {"genco_table": write_gencos(tmp_path / "same.csv", DEFAULT_GENCOS)},
+            "table": {"genco_table": write_gencos(tmp_path / "cheap.csv", cheaper)},
+            "demand": {"peak_units": 1.0},
+            "series": {"forecaster_series_steps": 144},
+            "epochs": {"forecaster_epochs": 3},
+            "seed": {"seeds": (1,)},
+        }
+        summaries, errors = harness._run_grid(config, "cell", [
+            (name, dict(fields, out_dir=str(tmp_path / "g" / name)))
+            for name, fields in changes.items()])
+        assert not errors and list(summaries) == list(changes)
+        assert len(calls) == 6
+
+        def saved(name):
+            seed = changes[name].get("seeds", (0,))[0]
+            return (tmp_path / "g" / name / f"forecaster_seed{seed}.json").read_bytes()
+
+        assert saved("learner") == saved("same_table") == saved("base")
+        assert len({saved(name) for name in changes}) == 6
+
+    def test_consecutive_runs_fit_again(self, tmp_path, monkeypatch):
+        calls = count_fits(monkeypatch)
+        config = tiny_config(tmp_path / "a", seeds=(0,), trace=False, episodes=2)
+        run_experiment(config)
+        run_experiment(dataclasses.replace(config, out_dir=str(tmp_path / "b")))
+        assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")
@@ -263,11 +382,8 @@ class TestEmitTrace:
 
 class TestCli:
     def test_run_and_trace_commands(self, tmp_path, capsys):
-        cfg_file = tmp_path / "exp.cfg"
-        lines = [f"{k} = {','.join(str(s) for s in v) if isinstance(v, tuple) else v}"
-                 for k, v in tiny_kwargs(tmp_path / "cli", seeds=(0,)).items()]
-        cfg_file.write_text("\n".join(lines) + "\n")
-        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        cfg_file = write_config(tmp_path / "exp.cfg", **tiny_kwargs(tmp_path / "cli", seeds=(0,)))
+        assert cli.main(["run", "--config", cfg_file]) == 0
         out = capsys.readouterr().out
         assert "converged episodic reward" in out
         assert cli.main(["trace", "--trace-file", str(tmp_path / "cli" / "trace_seed0.csv"),
@@ -276,11 +392,9 @@ class TestCli:
         assert (tmp_path / "win.csv").exists()
 
     def test_flag_overrides_file(self, tmp_path):
-        cfg_file = tmp_path / "exp.cfg"
-        lines = [f"{k} = {','.join(str(s) for s in v) if isinstance(v, tuple) else v}"
-                 for k, v in tiny_kwargs(tmp_path / "cli2", seeds=(0,), trace=False).items()]
-        cfg_file.write_text("\n".join(lines) + "\n")
-        assert cli.main(["run", "--config", str(cfg_file), "--learner-id", "4",
+        cfg_file = write_config(tmp_path / "exp.cfg",
+                                **tiny_kwargs(tmp_path / "cli2", seeds=(0,), trace=False))
+        assert cli.main(["run", "--config", cfg_file, "--learner-id", "4",
                          "--out-dir", str(tmp_path / "cli3")]) == 0
         manifest = (tmp_path / "cli3" / "manifest.txt").read_text()
         assert "learner_id = 4" in manifest
@@ -295,12 +409,10 @@ class TestCli:
         assert (tmp_path / "fc" / "training_series.csv").exists()
 
     def test_forecast_train_writes_the_run_forecaster(self, tmp_path):
-        cfg_file = tmp_path / "exp.cfg"
-        lines = [f"{k} = {','.join(str(s) for s in v) if isinstance(v, tuple) else v}"
-                 for k, v in tiny_kwargs(tmp_path / "run", seeds=(3,), trace=False).items()]
-        cfg_file.write_text("\n".join(lines) + "\n")
-        assert cli.main(["run", "--config", str(cfg_file)]) == 0
-        assert cli.main(["forecast-train", "--config", str(cfg_file),
+        cfg_file = write_config(tmp_path / "exp.cfg",
+                                **tiny_kwargs(tmp_path / "run", seeds=(3,), trace=False))
+        assert cli.main(["run", "--config", cfg_file]) == 0
+        assert cli.main(["forecast-train", "--config", cfg_file,
                          "--out-dir", str(tmp_path / "fc")]) == 0
         assert ((tmp_path / "fc" / "forecaster.json").read_bytes()
                 == (tmp_path / "run" / "forecaster_seed3.json").read_bytes())
@@ -331,6 +443,26 @@ class TestCli:
         assert str(path) in err
         assert "Traceback" not in err
         assert not (tmp_path / "bad").exists()
+
+    def test_sweep_failure_exits_1_with_failed_line(self, tmp_path, capsys, monkeypatch):
+        fail_train(monkeypatch, lambda c: RuntimeError("injected") if c.gamma == 0.3 else None)
+        cfg = write_config(tmp_path / "exp.cfg", **tiny_kwargs(tmp_path / "sw", seeds=(0,),
+                                                               trace=False, episodes=2))
+        assert cli.main(["sweep", "--config", cfg, "--parameter", "gamma",
+                         "--values", "0.3,0.05"]) == 1
+        out = capsys.readouterr().out
+        assert "  FAILED gamma=0.3: RuntimeError: injected\n" in out
+        assert "gamma=0.05: mu=" in out and "FAILED gamma=0.05" not in out
+        rows = read_rows(tmp_path / "sw" / "sweep_gamma.csv")
+        assert [(r["value"], r["mu"], r["diverged"]) for r in rows][0] == ("0.3", "nan", "False")
+
+    def test_matrix_bad_cell_exits_2_before_any_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.cfg", **tiny_kwargs(tmp_path / "mx", seeds=(0,)))
+        assert cli.main(["matrix", "--config", cfg, "--learners", "2,9",
+                         "--strategies", "b2", "--variants", "nfq2"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: matrix cell (9, 'b2', 'nfq2'): learner_id: 9 not in producer table")
+        assert not (tmp_path / "mx").exists()
 
     @pytest.mark.parametrize("argv, option", [
         (["sweep", "--parameter", "gamma", "--values", "0.3,x"], "--values"),

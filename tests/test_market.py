@@ -27,7 +27,7 @@ def autocorrelation(series, lag):
 
 class TestDemandProfile:
     def test_requested_length_is_exact(self):
-        assert len(demand_profile(720, seed=0)) == 720
+        assert len(demand_profile(720, seed=0).values) == 720
 
     def test_noise_free_daily_only_is_24_periodic(self):
         cfg = DemandConfig(weekly_amplitude=0.0, noise_amplitude=0.0)
