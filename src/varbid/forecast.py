@@ -121,6 +121,7 @@ def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             grads = lstm._backward_from_cache(cache, 2.0 * err / len(sel))
             opt.step(lstm, grads)
+    lstm._train_buf = None  # the step buffers go before the final pass and stay out of the result
     final_mse = float(np.mean((lstm.forward_batch(x) - y) ** 2))
     if not np.isfinite(final_mse):
         raise NumericError(f"non-finite loss at epoch {epochs - 1}")

@@ -13,14 +13,16 @@ through fixed sub-streams, so re-running a configuration reproduces every
 output CSV byte for byte.
 
 ``run_matrix`` and ``sweep`` share one cell runner: it validates every
-cell before the first run, records a failing run while the others go on,
-and fits each distinct forecaster once per call.
+cell before the first run, records a failing run while the others go on
+(its traceback goes to error.txt in the cell's directory), and fits each
+distinct forecaster once per call.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,13 +112,20 @@ class ExperimentConfig(TrainConfig):
         self.learner_index()  # raises unless learner_id is in the producer table
         super().validate()
 
+    def __post_init__(self):
+        self._table = None  # (genco_table, its producers), filled by gencos()
+        super().__post_init__()
+
     def gencos(self):
-        if not self.genco_table:
-            return list(DEFAULT_GENCOS)
-        try:
-            return load_gencos(self.genco_table)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"genco_table: cannot load {self.genco_table!r}: {exc}") from exc
+        """The producer table. Validation reads ``genco_table`` when the config is built,
+        and every later call returns that table, unless ``genco_table`` itself changes."""
+        if self._table is None or self._table[0] != self.genco_table:
+            try:
+                table = load_gencos(self.genco_table) if self.genco_table else DEFAULT_GENCOS
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"genco_table: cannot load {self.genco_table!r}: {exc}") from exc
+            self._table = (self.genco_table, tuple(table))
+        return list(self._table[1])
 
     def learner_index(self) -> int:
         for k, g in enumerate(self.gencos()):
@@ -262,30 +271,34 @@ def _run_cell(config: ExperimentConfig, fits: dict) -> ExperimentSummary:
     learner = config.learner_index()
     window = max(1, int(round(config.convergence_window * config.episodes)))
     summary_rows = []  # seed, converged reward, converged truthful payment
-    for seed in config.seeds:
-        key = _forecaster_inputs(config, seed)
-        forecaster = fits[key] = fits.get(key) or prepare_forecaster(config, seed)[1]
-        save_forecaster(forecaster, str(out / f"forecaster_seed{seed}.json"))
-        env = ReactiveMarketEnv(gencos=tuple(gencos), learner=learner,
-                                rival_strategy=config.strategy,
-                                demand_config=config.demand_config(),
-                                episode_steps=config.episode_steps)
-        task = BiddingTask(env, forecaster)
-        result = train(task, config, seed)
+    try:
+        for seed in config.seeds:
+            key = _forecaster_inputs(config, seed)
+            forecaster = fits[key] = fits.get(key) or prepare_forecaster(config, seed)[1]
+            save_forecaster(forecaster, str(out / f"forecaster_seed{seed}.json"))
+            env = ReactiveMarketEnv(gencos=tuple(gencos), learner=learner,
+                                    rival_strategy=config.strategy,
+                                    demand_config=config.demand_config(),
+                                    episode_steps=config.episode_steps)
+            task = BiddingTask(env, forecaster)
+            result = train(task, config, seed)
 
-        _write_csv(out / f"curve_seed{seed}.csv", CURVE_FIELDS,
-                   [(e.episode, e.reward, e.epsilon, e.mean_abs_td, e.baseline_payment)
-                    for e in result.episodes])
-        save_network(result.local, str(out / f"qnet_local_seed{seed}.json"))
-        save_network(result.target, str(out / f"qnet_target_seed{seed}.json"))
-        if config.trace:
-            _, infos = greedy_episode(task, result.local, derive_env_seed(seed))
-            header, rows = _trace_rows(infos, len(gencos))
-            _write_csv(out / f"trace_seed{seed}.csv", header, rows)
+            _write_csv(out / f"curve_seed{seed}.csv", CURVE_FIELDS,
+                       [(e.episode, e.reward, e.epsilon, e.mean_abs_td, e.baseline_payment)
+                        for e in result.episodes])
+            save_network(result.local, str(out / f"qnet_local_seed{seed}.json"))
+            save_network(result.target, str(out / f"qnet_target_seed{seed}.json"))
+            if config.trace:
+                _, infos = greedy_episode(task, result.local, derive_env_seed(seed))
+                header, rows = _trace_rows(infos, len(gencos))
+                _write_csv(out / f"trace_seed{seed}.csv", header, rows)
 
-        rewards = np.array([e.reward for e in result.episodes[-window:]])
-        payments = np.array([e.baseline_payment for e in result.episodes[-window:]])
-        summary_rows.append([seed, float(rewards.mean()), float(payments.mean())])
+            rewards = np.array([e.reward for e in result.episodes[-window:]])
+            payments = np.array([e.baseline_payment for e in result.episodes[-window:]])
+            summary_rows.append([seed, float(rewards.mean()), float(payments.mean())])
+    except Exception as exc:
+        exc.add_note(f"while running seed {seed}")  # for the traceback in error.txt
+        raise
 
     values = np.array([row[1] for row in summary_rows])
     payments = np.array([row[2] for row in summary_rows])
@@ -302,7 +315,9 @@ def _run_grid(config: ExperimentConfig, label: str, cells: list) -> tuple[dict, 
     """Run ``(name, field changes)`` cells of ``config`` in order, sharing forecaster fits.
 
     Every cell is built, and so validated, before the first run; a bad one raises
-    ConfigError naming ``label`` and the cell. Returns (summaries, exceptions) by name.
+    ConfigError naming ``label`` and the cell. A failed run leaves its traceback, with
+    the seed it was running, in error.txt in its out_dir. Returns (summaries,
+    exceptions) by name.
     """
     built = []
     for name, changes in cells:
@@ -317,6 +332,9 @@ def _run_grid(config: ExperimentConfig, label: str, cells: list) -> tuple[dict, 
             summaries[name] = _run_cell(cell, fits)
         except Exception as exc:  # a cell failure must not stop the grid
             errors[name] = exc
+            out = Path(cell.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "error.txt").write_text("".join(traceback.format_exception(exc)))
     return summaries, errors
 
 

@@ -199,11 +199,25 @@ class Mlp:
 # LSTM
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; each branch is the stable form for its sign.
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+def _sigmoid(z: np.ndarray, e: np.ndarray, num: np.ndarray) -> None:
+    """Overwrite ``z`` with sigmoid(z); ``e`` and ``num`` are scratch arrays shaped like it.
+
+    With e = exp(-|z|), which never overflows, sigmoid(z) is 1 / (1 + e) for z >= 0
+    and e / (1 + e) below. Since e <= 1, the numerator is max(e, [z >= 0]).
+    """
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(z, 0.0, out=num)
+    np.maximum(e, num, out=num)
+    e += 1.0
+    np.divide(num, e, out=z)
+
+
+def _one_slot(shape: tuple) -> np.ndarray:
+    """A writable ``shape`` array whose first axis repeats one slot: every index is one memory."""
+    slot = np.empty(shape[1:])
+    return np.lib.stride_tricks.as_strided(slot, shape, (0, *slot.strides))
 
 
 class Lstm:
@@ -225,6 +239,23 @@ class Lstm:
     W_f is ``w[:u, :in]``, U_i is ``w[u:2u, in:]``, b_g is ``b[3u:]``.
     ``theta`` holds w, b, w_out, b_out back to back; the arrays given are
     copied into it.
+
+    A training forward on n sequences of T steps keeps what BPTT reads in
+    one flat buffer per network, grown to the largest batch it has seen; a
+    smaller batch views a prefix. In order, as C-contiguous arrays:
+        dz    (T, n, 4u)      BPTT's pre-activation gradients, columns as in ``w``
+        xh    (T, n, in + u)  [x_t, h_{t-1}], the weight gradient's other operand
+        acts  (T, 4, n, u)    gates f, i, o, g, gate by gate
+        cs    (T + 1, n, u)   c_{t-1} at index t, zero at index 0
+        tcs   (T, n, u)       tanh(c_t)
+        d_s   (T, 3, n, u)    1 - s for f, i, o
+        d_g   (T, n, u)       1 - g^2
+        d_tc  (T, n, u)       1 - tanh(c_t)^2
+    The next training forward on the network overwrites the cache the
+    previous one returned, so run the backward pass first. ``copy()`` and
+    the checkpoint loaders start without the buffer, and ``train_forecaster``
+    drops it before it returns. An inference forward keeps no steps: each
+    step writes over the last in one slot per array.
     """
 
     def __init__(self, w: np.ndarray, b: np.ndarray, w_out: np.ndarray, b_out: np.ndarray):
@@ -235,6 +266,7 @@ class Lstm:
                 f"w {w.shape}, b {b.shape}, w_out {w_out.shape}, b_out "
                 f"{b_out.shape} do not fit [w (4u, in + u), b (4u), w_out (u), b_out (1)]")
         self.w, self.b, self.w_out, self.b_out = _pack(self, [w, b, w_out, b_out])
+        self._train_buf: np.ndarray | None = None  # training step buffers, see above
 
     @classmethod
     def random(cls, input_dim: int, units: int, seed: int) -> "Lstm":
@@ -284,59 +316,98 @@ class Lstm:
         return self._head(self._hidden(self._coerce_batch(sequences)))
 
     def _forward_batch_cache(self, x: np.ndarray):
-        """Predictions plus the per-step values that BPTT reads."""
+        """Predictions plus the training buffers that BPTT reads (see the class notes)."""
         x = self._coerce_batch(x)
-        per_step: list = []
-        h = self._hidden(x, per_step)
-        return self._head(h), (x, h, per_step)
+        n, steps, d = x.shape
+        u = self.units
+        shapes = [(steps, n, 4 * u), (steps, n, d + u), (steps, 4, n, u), (steps + 1, n, u),
+                  (steps, n, u), (steps, 3, n, u), (steps, n, u), (steps, n, u)]
+        size = sum(math.prod(shape) for shape in shapes)
+        if self._train_buf is None or self._train_buf.size < size:
+            self._train_buf = np.empty(size)
+        bufs = _views(self._train_buf[:size], shapes)
+        h = self._hidden(x, *bufs[1:5])
+        return self._head(h), (h, bufs)
 
     def _head(self, h: np.ndarray) -> np.ndarray:
         return h @ self.w_out + self.b_out[0]
 
-    def _hidden(self, x: np.ndarray, per_step: list | None = None) -> np.ndarray:
-        """Final hidden state; appends (h_prev, c_prev, [f i o], g, tanh c) to per_step."""
+    def _hidden(self, x: np.ndarray, xh=None, acts=None, cs=None, tcs=None) -> np.ndarray:
+        """Final hidden state. Given the training buffers, every step keeps its values
+        there; without them, each step writes over the last in one slot per array."""
         n, steps, d = x.shape
         u = self.units
         w_in, w_rec = self.w[:, :d].T, self.w[:, d:].T
+        if xh is None:
+            acts, cs, tcs = (_one_slot(shape) for shape in
+                             ((steps, 4, n, u), (steps + 1, n, u), (steps, n, u)))
+        else:
+            xh[:, :, :d] = x.transpose(1, 0, 2)
+            xh[0, :, d:] = 0.0
+        cs[0] = 0.0
         h = np.zeros((n, u))
-        c = np.zeros((n, u))
+        z = np.empty((n, 4 * u))
+        z_gates = z.reshape(n, 4, u).transpose(1, 0, 2)
+        xw = np.empty((n, 4 * u))
+        # With one input, x_t W is one product per entry: a broadcast multiply gives
+        # the k = 1 matmul's values without its BLAS call.
+        w_col = self.w[:, 0].copy() if d == 1 else None
+        b = self.b.reshape(4, 1, u)
+        e, num, ig = np.empty((3, n, u)), np.empty((3, n, u)), np.empty((n, u))
         for t in range(steps):
-            z = x[:, t] @ w_in + h @ w_rec + self.b
-            s = _sigmoid(z[:, :3 * u])
-            g = np.tanh(z[:, 3 * u:])
-            h_prev, c_prev = h, c
-            c = s[:, :u] * c + s[:, u:2 * u] * g
-            tc = np.tanh(c)
-            h = s[:, 2 * u:] * tc
-            if per_step is not None:
-                per_step.append((h_prev, c_prev, s, g, tc))
+            # (x_t W + h U) + b in that order; the bias add also lays the gates out one by one.
+            np.matmul(h, w_rec, out=z)
+            z += (np.multiply(x[:, t], w_col, out=xw) if d == 1
+                  else np.matmul(x[:, t], w_in, out=xw))
+            a = acts[t]
+            np.add(z_gates, b, out=a)
+            _sigmoid(a[:3], e, num)
+            np.tanh(a[3], out=a[3])
+            c = cs[t + 1]
+            np.multiply(a[0], cs[t], out=c)
+            c += np.multiply(a[1], a[3], out=ig)
+            np.tanh(c, out=tcs[t])
+            np.multiply(a[2], tcs[t], out=h)
+            if xh is not None and t + 1 < steps:
+                xh[t + 1, :, d:] = h
         return h
 
     # -- backward -----------------------------------------------------------
 
     def _backward_from_cache(self, cache, dy: np.ndarray) -> np.ndarray:
         """BPTT of the row-summed prediction * dy as one vector laid out like ``theta``."""
-        x, h_last, per_step = cache
-        n, steps, d = x.shape
-        u = self.units
+        h_last, (dz, xh, acts, cs, tcs, d_s, d_g, d_tc) = cache
+        steps, _, n, u = acts.shape
+        d = self.input_dim
         w_rec = self.w[:, d:]
-        dz = np.empty((steps, n, 4 * u))  # pre-activation gradients, gates f, i, o, g
+        # Derivative factors for every step at once: 1 - s, 1 - g^2, 1 - tanh(c)^2.
+        np.subtract(1.0, acts[:, :3], out=d_s)
+        np.multiply(acts[:, 3], acts[:, 3], out=d_g)
+        np.subtract(1.0, d_g, out=d_g)
+        np.multiply(tcs, tcs, out=d_tc)
+        np.subtract(1.0, d_tc, out=d_tc)
         dh = dy[:, None] * self.w_out[None, :]
         dc = np.zeros_like(dh)
+        tmp = np.empty_like(dh)
+        dzt = np.empty((4, n, u))  # step t's pre-activation gradients, gate by gate
+        # Products keep the order of the per-step formulas, such as ((dc * c_prev) * f) * (1 - f),
+        # so the factors computed above give the same bits as computing them step by step.
         for t in range(steps - 1, -1, -1):
-            _, c_prev, s, g, tc = per_step[t]
-            dc = dc + dh * s[:, 2 * u:] * (1.0 - tc * tc)
-            dzt = dz[t]
-            dzt[:, :u] = dc * c_prev
-            dzt[:, u:2 * u] = dc * g
-            dzt[:, 2 * u:3 * u] = dh * tc
-            dzt[:, :3 * u] *= s
-            dzt[:, :3 * u] *= 1.0 - s
-            dzt[:, 3 * u:] = dc * s[:, u:2 * u] * (1.0 - g * g)
-            dh = dzt @ w_rec
-            dc = dc * s[:, :u]
+            a = acts[t]
+            np.multiply(dh, a[2], out=tmp)
+            tmp *= d_tc[t]
+            dc += tmp
+            np.multiply(dc, cs[t], out=dzt[0])
+            np.multiply(dc, a[3], out=dzt[1])
+            np.multiply(dh, tcs[t], out=dzt[2])
+            dzt[:3] *= a[:3]
+            dzt[:3] *= d_s[t]
+            np.multiply(dc, a[1], out=dzt[3])
+            dzt[3] *= d_g[t]
+            np.copyto(dz[t].reshape(n, 4, u).transpose(1, 0, 2), dzt)
+            np.matmul(dz[t], w_rec, out=dh)
+            dc *= a[0]
         # Each weight row sees [x_t, h_prev] over every (step, row) pair.
-        xh = np.concatenate([x.transpose(1, 0, 2), np.stack([p[0] for p in per_step])], axis=2)
         dz = dz.reshape(steps * n, 4 * u)
         grad = np.empty_like(self.theta)
         dw, db, dw_out, db_out = _views(grad, self.shapes)

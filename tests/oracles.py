@@ -3,8 +3,9 @@
 Brute-force searches, exact value iteration, the bisection dispatch the
 library used before its breakpoint walk, the per-hour rival bids the
 environment draws as arrays, the per-array Adam, soft update and
-dense backward pass the library used before its flat parameter vector, and
-the nfq1 input rows the library built before it wrote them in place.
+dense backward pass the library used before its flat parameter vector,
+the nfq1 input rows the library built before it wrote them in place, and
+the per-step LSTM loop, BPTT and sigmoid it used before its step buffers.
 """
 
 import numpy as np
@@ -257,3 +258,65 @@ def nfq1_rows_reference(states, n_actions):
     actions = np.tile(np.arange(n_actions), len(states))
     return np.concatenate([np.repeat(states, n_actions, axis=0),
                            (actions / (n_actions - 1))[:, None]], axis=1)
+
+
+def sigmoid_reference(x):
+    """The stable sigmoid the library used before its in-place form."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def lstm_hidden_reference(lstm, x, per_step=None):
+    """Final hidden state of the library's former per-step loop for a (n, steps, in) batch;
+    appends (h_prev, c_prev, [f i o], g, tanh c) to per_step."""
+    n, steps, d = x.shape
+    u = lstm.units
+    w_in, w_rec = lstm.w[:, :d].T, lstm.w[:, d:].T
+    h = np.zeros((n, u))
+    c = np.zeros((n, u))
+    for t in range(steps):
+        z = x[:, t] @ w_in + h @ w_rec + lstm.b
+        s = sigmoid_reference(z[:, :3 * u])
+        g = np.tanh(z[:, 3 * u:])
+        h_prev, c_prev = h, c
+        c = s[:, :u] * c + s[:, u:2 * u] * g
+        tc = np.tanh(c)
+        h = s[:, 2 * u:] * tc
+        if per_step is not None:
+            per_step.append((h_prev, c_prev, s, g, tc))
+    return h
+
+
+def lstm_forward_cache_reference(lstm, x):
+    """(predictions, cache) of the former training forward; x is (n, steps, in)."""
+    per_step = []
+    h = lstm_hidden_reference(lstm, x, per_step)
+    return h @ lstm.w_out + lstm.b_out[0], (x, h, per_step)
+
+
+def lstm_backward_reference(lstm, cache, dy):
+    """Flat gradient of the row-summed prediction * dy by the former per-step BPTT."""
+    x, h_last, per_step = cache
+    n, steps, d = x.shape
+    u = lstm.units
+    w_rec = lstm.w[:, d:]
+    dz = np.empty((steps, n, 4 * u))
+    dh = dy[:, None] * lstm.w_out[None, :]
+    dc = np.zeros_like(dh)
+    for t in range(steps - 1, -1, -1):
+        _, c_prev, s, g, tc = per_step[t]
+        dc = dc + dh * s[:, 2 * u:] * (1.0 - tc * tc)
+        dzt = dz[t]
+        dzt[:, :u] = dc * c_prev
+        dzt[:, u:2 * u] = dc * g
+        dzt[:, 2 * u:3 * u] = dh * tc
+        dzt[:, :3 * u] *= s
+        dzt[:, :3 * u] *= 1.0 - s
+        dzt[:, 3 * u:] = dc * s[:, u:2 * u] * (1.0 - g * g)
+        dh = dzt @ w_rec
+        dc = dc * s[:, :u]
+    xh = np.concatenate([x.transpose(1, 0, 2), np.stack([p[0] for p in per_step])], axis=2)
+    dz = dz.reshape(steps * n, 4 * u)
+    dw = dz.T @ xh.reshape(steps * n, d + u)
+    return np.concatenate([dw.ravel(), dz.sum(axis=0), dy @ h_last, [dy.sum()]])

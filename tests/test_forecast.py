@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import lstm_backward_reference, lstm_forward_cache_reference, lstm_hidden_reference
 from varbid.forecast import (WINDOW, Forecaster, baseline_predict, holdout_mse, holdout_split,
                              load_forecaster, save_forecaster, train_forecaster,
                              save_series_csv)
@@ -127,6 +128,18 @@ class TestTrainLstm:
         fc_moved, mse_moved = train_forecaster(moved, units=4, epochs=3, seed=0)
         assert mse_moved == mse
         assert all(np.array_equal(a, b) for a, b in zip(fc.lstm.params(), fc_moved.lstm.params()))
+
+    def test_fit_with_partial_batch_equals_reference_fit(self, monkeypatch):
+        # 96 windows: 77 train in batches of 32, 32 and 13.
+        series = 1.0 + 0.3 * np.sin(np.arange(120) / 4.0) + 0.01 * np.arange(120)
+        fit = train_forecaster(series, units=16, epochs=2, seed=5)
+        assert fit[0].lstm._train_buf is None  # the result holds no training buffer
+        monkeypatch.setattr(Lstm, "_forward_batch_cache", lstm_forward_cache_reference)
+        monkeypatch.setattr(Lstm, "_backward_from_cache", lstm_backward_reference)
+        monkeypatch.setattr(Lstm, "_hidden", lstm_hidden_reference)
+        reference = train_forecaster(series, units=16, epochs=2, seed=5)
+        assert np.array_equal(fit[0].lstm.theta, reference[0].lstm.theta)
+        assert fit[1] == reference[1]
 
 
 class TestPredict:

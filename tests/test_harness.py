@@ -146,6 +146,19 @@ class TestConfigParsing:
             _write_manifest(original, tmp_path / "manifest.txt")
             assert build_config(parse_config_file(str(tmp_path / "manifest.txt"))) == original
 
+    def test_genco_table_read_once_when_built(self, tmp_path):
+        path = tmp_path / "gencos.csv"
+        table = write_gencos(path, DEFAULT_GENCOS)
+        config = ExperimentConfig(genco_table=table)
+        cheaper = [dataclasses.replace(g, c1=0.5 * g.c1) for g in DEFAULT_GENCOS]
+        write_gencos(path, cheaper)  # edited after the config was built
+        assert config.gencos() == list(DEFAULT_GENCOS)
+        config.validate()
+        assert config.gencos() == list(DEFAULT_GENCOS)
+        assert dataclasses.replace(config, seeds=(1,)).gencos() == cheaper
+        config.gencos().pop()  # callers get a copy
+        assert len(config.gencos()) == len(DEFAULT_GENCOS)
+
 
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
@@ -233,6 +246,11 @@ class TestMatrix:
         assert list(result["summaries"]) == [(2, "b2", "nfq2")]
         assert ((tmp_path / "m3" / "errors.txt").read_text()
                 == "(1, 'b2', 'nfq2'): RuntimeError: injected\n")
+        error = (tmp_path / "m3" / "L1_b2_nfq2" / "error.txt").read_text()
+        assert error.startswith("Traceback (most recent call last):\n")
+        assert "in train\n" in error  # the frame that raised
+        assert error.endswith("RuntimeError: injected\nwhile running seed 0\n")
+        assert not (tmp_path / "m3" / "L2_b2_nfq2" / "error.txt").exists()
         table = read_rows(tmp_path / "m3" / "table_b2_nfq2.csv")
         assert table[0]["1"] == "nan"
         assert float(table[0]["2"]) == result["summaries"][(2, "b2", "nfq2")].mu

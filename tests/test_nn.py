@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import AdamReference, mlp_backward_reference, soft_update_reference
+from oracles import (AdamReference, lstm_backward_reference, lstm_forward_cache_reference,
+                     lstm_hidden_reference, mlp_backward_reference, sigmoid_reference,
+                     soft_update_reference)
 from varbid.nn import (_BLOCK_ROWS, Adam, Lstm, Mlp, NumericError, ShapeError, _sigmoid, _views,
                        grad_check, load_network, save_network, soft_update)
 
@@ -303,9 +305,11 @@ class TestSigmoid:
         rng = np.random.default_rng(0)
         x = np.concatenate([special, rng.normal(scale=10.0, size=20000),
                             rng.uniform(-800.0, 800.0, size=20000)])
-        got, want = _sigmoid(x), masked(x)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        got = x.copy()
+        _sigmoid(got, np.empty_like(x), np.empty_like(x))
+        for want in (masked(x), sigmoid_reference(x)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # Row blocks of the stacked gate weight, in layout order.
@@ -495,6 +499,97 @@ class TestLstm:
         lstm = Lstm.random(1, 3, seed=0)
         with pytest.raises(ShapeError):
             lstm.forward_batch(np.zeros((1, 0)))
+
+
+def assert_matches_reference(lstm, x, dy):
+    """Training and inference paths equal the per-step reference loop bit for bit."""
+    want_pred, want_cache = lstm_forward_cache_reference(lstm, x)
+    want_h = want_cache[1]
+    want_grad = lstm_backward_reference(lstm, want_cache, dy)
+    for _ in range(2):  # the second pass reuses the buffer the first one made
+        pred, cache = lstm._forward_batch_cache(x)
+        assert np.array_equal(pred, want_pred)
+        assert np.array_equal(cache[0], want_h)  # the final hidden state
+        assert np.array_equal(lstm._backward_from_cache(cache, dy), want_grad)
+    assert np.array_equal(lstm.forward_batch(x), want_pred)
+    assert np.array_equal(lstm._hidden(x), want_h)
+
+
+class TestLstmMatchesReference:
+    @pytest.mark.parametrize("input_dim", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 24])
+    @pytest.mark.parametrize("units", [1, 16, 32])
+    @pytest.mark.parametrize("rows", [1, 13, 32, 169])
+    def test_predictions_state_and_gradient(self, rows, units, steps, input_dim):
+        rng = np.random.default_rng([rows, units, steps, input_dim])
+        lstm = Lstm.random(input_dim, units, seed=units)
+        lstm.b[:] = rng.normal(size=4 * units)
+        assert_matches_reference(lstm, rng.normal(size=(rows, steps, input_dim)),
+                                 rng.normal(size=rows))
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_saturated_gates(self, scale):
+        # Biases of +-60 keep every pre-activation at |z| >= 40; scaled weights push
+        # some past the point where exp underflows and the gates are exactly 0 or 1.
+        rng = np.random.default_rng(7)
+        lstm = Lstm.random(1, 16, seed=2)
+        lstm.w *= scale
+        lstm.b[:] = 60.0 * rng.choice([-1.0, 1.0], size=64)
+        x = rng.uniform(-1.0, 1.0, size=(32, 24, 1))
+        z = x[:, 0] @ lstm.w[:, :1].T + lstm.b
+        assert np.abs(z).min() >= 40.0
+        assert_matches_reference(lstm, x, rng.normal(size=32))
+
+    def test_zero_output_gradient(self):
+        rng = np.random.default_rng(8)
+        lstm = Lstm.random(1, 16, seed=3)
+        assert_matches_reference(lstm, rng.normal(size=(13, 24, 1)), np.zeros(13))
+
+    def test_short_batch_views_a_prefix_of_the_buffer(self):
+        rng = np.random.default_rng(9)
+        lstm = Lstm.random(1, 16, seed=4)
+        lstm._backward_from_cache(lstm._forward_batch_cache(rng.normal(size=(32, 24)))[1],
+                                  np.ones(32))
+        buf = lstm._train_buf
+        x = rng.normal(size=(13, 24, 1))
+        assert_matches_reference(lstm, x, rng.normal(size=13))
+        assert lstm._train_buf is buf
+        _, (_, bufs) = lstm._forward_batch_cache(x)
+        assert all(b.base is buf for b in bufs)
+
+
+class TestLstmMemory:
+    def test_warm_training_pass_allocates_only_scratch(self):
+        # The step buffers of a 32-row, 24-step, 32-unit batch take 3.2 MB; a warm
+        # forward and backward allocates only per-call scratch, about 0.2 MB.
+        rng = np.random.default_rng(10)
+        lstm = Lstm.random(1, 32, seed=5)
+        x, dy = rng.normal(size=(32, 24, 1)), rng.normal(size=32)
+        lstm._backward_from_cache(lstm._forward_batch_cache(x)[1], dy)
+        tracemalloc.start()
+        try:
+            lstm._backward_from_cache(lstm._forward_batch_cache(x)[1], dy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000, f"traced peak {peak / 1e3:.0f} kB"
+
+    def test_inference_keeps_no_steps(self):
+        # The final-MSE pass of a fit: 557 windows of 24 steps.
+        rng = np.random.default_rng(11)
+        lstm = Lstm.random(1, 32, seed=6)
+        x = rng.normal(size=(557, 24, 1))
+        peaks = []
+        for run in (lstm.forward_batch, lambda x: lstm_hidden_reference(lstm, x)):
+            run(x)
+            tracemalloc.start()
+            try:
+                run(x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], f"traced peaks {peaks[0] / 1e6:.2f} vs {peaks[1] / 1e6:.2f} MB"
+        assert lstm._train_buf is None
 
 
 class TestOptimizers:
