@@ -25,6 +25,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
+from .forecast import WINDOW
 from .market import ReactiveMarketEnv
 from .nn import Adam, Mlp, NumericError, ShapeError, soft_update
 from .replay import ReplayBuffer
@@ -164,9 +165,10 @@ class Task(Protocol):
 class BiddingTask:
     """Market environment adapter: owns history and the requirement estimates.
 
-    Requirement estimates for the whole episode are computed at reset and kept
-    until a reset brings another seed; the hourly totals the forecaster reads
-    do not depend on anyone's bids because dispatch balances the requirement.
+    Requirement estimates for the whole episode are computed at reset, one per
+    ``WINDOW``-hour window of the totals ``env.reset`` returns, and kept until
+    a reset brings another seed; the totals do not depend on anyone's bids
+    because dispatch meets the requirement.
     """
 
     def __init__(self, env: ReactiveMarketEnv, forecaster):
@@ -177,11 +179,10 @@ class BiddingTask:
         self._estimate_seed: int | None = None
 
     def reset(self, seed: int) -> np.ndarray:
-        lead_totals = self.env.reset(seed)
+        totals = self.env.reset(seed)
         # The totals series is fixed by the seed: keep the last seed's estimates.
         if seed != self._estimate_seed:
-            totals = np.concatenate([lead_totals, self.env.base_total + self.env.demand_values])
-            windows = np.lib.stride_tricks.sliding_window_view(totals, len(lead_totals))
+            windows = np.lib.stride_tricks.sliding_window_view(totals, WINDOW)
             self._estimates = self.forecaster.predict_batch_normalized(windows)
             self._estimate_seed = seed
         self._records: list[StepRecord] = []

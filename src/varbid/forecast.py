@@ -1,11 +1,11 @@
 """Next-hour requirement prediction from total-quantity history.
 
-An LSTM reads the past 24 hourly totals, min-max normalized over the
-series, and predicts the next hour. ``train_forecaster`` fits it with
-mini-batch Adam on squared error over the sliding windows of a recorded
-series, keeping the last ``HOLDOUT_FRAC`` of windows out of training for
-``holdout_mse`` to score. A two-lag reference predictor, the average of the
-values one hour and one day back, provides the comparison bar.
+An LSTM reads the past 24 hourly totals, min-max scaled over the training
+hours, and predicts the next hour. ``train_forecaster`` fits it with
+mini-batch Adam on squared error over the sliding windows of a series; the
+last ``HOLDOUT_FRAC`` of windows and the hours they predict stay out of the
+fit and the scale, for ``holdout_mse`` to score. A two-lag reference
+predictor, the mean of the values one hour and one day back, is the bar.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
                      batch_size: int = 32, learning_rate: float = 5e-3) -> tuple[Forecaster, float]:
     """Fit an LSTM with mini-batch Adam on the windows before ``holdout_split``.
 
-    The series is min-max normalized over its whole length; window k
-    (series[k .. k+23]) predicts series[k+24], and the scored tail stays
-    unseen. Returns the forecaster and the final training MSE (normalized
-    scale). Raises NumericError naming the epoch if the loss goes non-finite.
+    Window k (series[k .. k+23]) predicts series[k+24]. ``lo``/``hi`` are the
+    min/max of the hours the training windows and targets cover, so the scored
+    tail stays unseen. Returns the forecaster and the final training MSE
+    (normalized scale). Raises NumericError naming the epoch if the loss goes non-finite.
     """
     for ok, message in ((units >= 1, f"units must be >= 1, got {units}"),
                         (epochs >= 0, f"epochs must be >= 0, got {epochs}"),
@@ -105,9 +105,10 @@ def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
     values = _series_values(series)
     rng = np.random.default_rng(seed)
     lstm = Lstm.random(1, units, int(rng.integers(2**31)))
-    forecaster = Forecaster(lstm=lstm, lo=float(values.min()), hi=float(values.max()))
-    norm = forecaster._normalize(values)
     split = holdout_split(len(values) - WINDOW)
+    seen = values[:WINDOW + split]
+    forecaster = Forecaster(lstm=lstm, lo=float(seen.min()), hi=float(seen.max()))
+    norm = forecaster._normalize(values)
     x = np.lib.stride_tricks.sliding_window_view(norm, WINDOW)[:split].copy()
     y = norm[WINDOW:WINDOW + split]
     opt = Adam(learning_rate=learning_rate)

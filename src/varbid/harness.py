@@ -2,9 +2,9 @@
 
 A run trains the forecaster, warms up the replay buffer, trains the
 bidding agent for each seed, and writes per-seed learning curves, network
-checkpoints, an optional greedy-policy trace episode, and a summary with
-the mean and standard deviation of converged episodic rewards (the final
-fraction of episodes given by ``convergence_window``).
+checkpoints, an optional greedy trace of the acting (target) network, and
+a summary with the mean and standard deviation of converged episodic
+rewards (the final fraction of episodes given by ``convergence_window``).
 
 Configuration lives in a flat ``key = value`` text file (see SCHEMA for
 the accepted keys); command-line flags override file values, which
@@ -241,10 +241,10 @@ def prepare_forecaster(config: ExperimentConfig,
 
 
 def _forecaster_inputs(config: ExperimentConfig, seed: int) -> tuple:
-    """Everything prepare_forecaster reads; equal inputs give the same fit."""
-    return (seed, tuple(config.gencos()), config.demand_config(), config.forecaster_series_steps,
-            config.forecaster_units, config.forecaster_epochs, config.forecaster_batch_size,
-            config.forecaster_learning_rate)
+    """Everything prepare_forecaster reads (of the producers, only their total bg)."""
+    return (seed, sum(g.bg for g in config.gencos()), config.demand_config(),
+            config.forecaster_series_steps, config.forecaster_units, config.forecaster_epochs,
+            config.forecaster_batch_size, config.forecaster_learning_rate)
 
 
 def _trace_rows(infos: list[dict], n_gencos: int) -> tuple[list[str], list[list]]:
@@ -289,7 +289,7 @@ def _run_cell(config: ExperimentConfig, fits: dict) -> ExperimentSummary:
             save_network(result.local, str(out / f"qnet_local_seed{seed}.json"))
             save_network(result.target, str(out / f"qnet_target_seed{seed}.json"))
             if config.trace:
-                _, infos = greedy_episode(task, result.local, derive_env_seed(seed))
+                _, infos = greedy_episode(task, result.target, derive_env_seed(seed))
                 header, rows = _trace_rows(infos, len(gencos))
                 _write_csv(out / f"trace_seed{seed}.csv", header, rows)
 

@@ -328,8 +328,8 @@ class ReactiveMarketEnv:
 
     ``reset(seed)`` regenerates the requirement series with a lead-in of
     one forecaster window (``forecast.WINDOW`` hours) so the forecaster has
-    a full window before the first market hour, and returns those lead-in
-    total quantities. Rival
+    a full window before the first market hour. It returns the hourly
+    totals, lead-in first, as ``simulate_total_quantity`` gives them. Rival
     bids and the truthful counterfactual depend only on the seed, so reset
     also draws every hour's rival bids and clears the learner's truthful
     bid (c1, c2) against them in one ``clear_market_batch`` call; an
@@ -367,26 +367,23 @@ class ReactiveMarketEnv:
     def demand_values(self) -> np.ndarray:
         return self._values
 
-    @property
-    def base_total(self) -> float:
-        return sum(g.bg for g in self.gencos)
-
     def reset(self, seed: int) -> np.ndarray:
         """Start an episode: series, rival bids and truthful counterfactual.
 
         They are rebuilt only when the seed differs from the last one that
-        cleared. Returns the lead-in total quantities.
+        cleared. Returns the total quantities of the lead-in and the episode.
         """
         if seed != self._seed:
             self._build(seed)
         self._t = 0
-        return self.base_total + self._lead_in_values
+        return self._totals
 
     def _build(self, seed: int) -> None:
         self._seed = None
         self._t = self.episode_steps  # stays unusable if the clearing below raises
         full = demand_profile(self.episode_steps + WINDOW, seed, self.demand_config)
-        self._lead_in_values = full.values[:WINDOW]
+        self._totals = sum(g.bg for g in self.gencos) + full.values
+        self._totals.setflags(write=False)  # reset hands out this array itself
         self._values = full.values[WINDOW:]
         self._d_norm = full.normalized[WINDOW:]
 
@@ -451,14 +448,9 @@ class ReactiveMarketEnv:
 
 def simulate_total_quantity(gencos=DEFAULT_GENCOS, demand_config: DemandConfig = DemandConfig(),
                             seed: int = 0, steps: int = 720) -> np.ndarray:
-    """Total quantity series from an episode where everyone bids twice their costs.
+    """Hourly total quantity, base generation plus requirement, with no clearing.
 
-    Used to build the forecaster's training data: the hourly sum of
-    dispatched totals tracks the market requirement.
+    Dispatch meets the requirement whatever the bids, so this is every hour's
+    sum of dispatched totals: the forecaster's training series.
     """
-    series = demand_profile(steps, seed, demand_config)
-    b1 = np.array([[2.0 * g.c1 for g in gencos]] * steps)
-    b2 = np.array([[2.0 * g.c2 for g in gencos]] * steps)
-    qmax = np.array([g.q_max for g in gencos])
-    x, _ = clear_market_batch(b1, b2, qmax, series.values)
-    return x.sum(axis=1) + sum(g.bg for g in gencos)
+    return sum(g.bg for g in gencos) + demand_profile(steps, seed, demand_config).values

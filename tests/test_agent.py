@@ -8,9 +8,10 @@ from toy_env import REWARDS, TRANSITIONS, TwoStateMdp, ZeroRewardTask
 from varbid.agent import (BiddingTask, N_ACTIONS, STATE_DIM, StepRecord, TrainConfig,
                           _nfq1_rows, _q_matrix, action_decode, compute_targets, encode_state,
                           q_values, select_action, td_error, train, warmup)
-from varbid.forecast import train_forecaster
+from varbid.forecast import WINDOW, train_forecaster
 from varbid.harness import derive_env_seed
-from varbid.market import ReactiveMarketEnv, simulate_total_quantity
+from varbid.market import (DemandConfig, ReactiveMarketEnv, demand_profile,
+                           simulate_total_quantity)
 from varbid.nn import Adam, Mlp, ShapeError
 from varbid.replay import ReplayBuffer
 
@@ -410,6 +411,24 @@ class TestBiddingTask:
         task.reset(0)
         assert len(calls) == 41
         assert np.array_equal(task._estimates, first)
+
+    @pytest.mark.parametrize("strategy", ["b1", "b2"])
+    def test_estimates_equal_lead_in_and_episode_windows(self, forecaster, strategy):
+        # Reference: base generation plus the lead-in requirement, then base
+        # generation plus the episode's, each window of WINDOW hours predicted.
+        config = DemandConfig(peak_units=1.2)
+        env = ReactiveMarketEnv(learner=3, rival_strategy=strategy, demand_config=config,
+                                episode_steps=40)
+        task = BiddingTask(env, forecaster)
+        base = sum(g.bg for g in env.gencos)
+        for seed in (5, 6):
+            values = demand_profile(40 + WINDOW, seed, config).values
+            totals = np.concatenate([base + values[:WINDOW], base + values[WINDOW:]])
+            windows = np.lib.stride_tricks.sliding_window_view(totals, WINDOW)
+            expected = forecaster.predict_batch_normalized(windows)
+            state = task.reset(seed)
+            assert task._estimates.tobytes() == expected.tobytes()
+            assert state[12] == min(max(expected[0], 0.0), 1.0)
 
     def test_resampled_demand_differs_across_episodes(self, forecaster):
         env = ReactiveMarketEnv(episode_steps=30, rival_strategy="b2")

@@ -14,10 +14,12 @@ from varbid.nn import Lstm, ShapeError
 
 
 def untrained_mse(fc, series):
-    """Training MSE rebuilt apart from train_forecaster: norm[k:k+24] -> norm[k+24]."""
+    """Training MSE rebuilt apart from train_forecaster: norm[k:k+24] -> norm[k+24],
+    with the scale of the hours before the held-out targets."""
     values = np.asarray(series, dtype=float)
-    norm = (values - values.min()) / (values.max() - values.min())
     split = holdout_split(len(values) - WINDOW)
+    head = values[:WINDOW + split]
+    norm = (values - head.min()) / (head.max() - head.min())
     x = np.array([norm[k:k + WINDOW] for k in range(split)])
     y = np.array([norm[k + WINDOW] for k in range(split)])
     return float(np.mean((fc.lstm.forward_batch(x) - y) ** 2))
@@ -58,8 +60,9 @@ class TestMakeDataset:
     def test_normalization_round_trip(self):
         series = demand_profile(100, seed=2).values
         fc, _ = train_forecaster(series, units=3, epochs=0, seed=0)
-        assert (fc.lo, fc.hi) == (series.min(), series.max())
-        norm = fc._normalize(series)
+        head = series[:WINDOW + holdout_split(len(series) - WINDOW)]
+        assert (fc.lo, fc.hi) == (head.min(), head.max())
+        norm = fc._normalize(head)
         assert norm.min() == 0.0 and norm.max() == 1.0
 
 
@@ -128,6 +131,19 @@ class TestTrainLstm:
         fc_moved, mse_moved = train_forecaster(moved, units=4, epochs=3, seed=0)
         assert mse_moved == mse
         assert all(np.array_equal(a, b) for a, b in zip(fc.lstm.params(), fc_moved.lstm.params()))
+
+    def test_scale_from_training_hours_only(self):
+        series = demand_profile(200, seed=6).values
+        first_scored = holdout_split(len(series) - WINDOW) + WINDOW
+        head = series[:first_scored]
+        rising = series.copy()
+        rising[first_scored:] = head.max() + np.linspace(0.1, 1.0, len(series) - first_scored)
+        assert rising.max() > head.max()
+        fc, mse = train_forecaster(series, units=4, epochs=3, seed=0)
+        fc_rising, mse_rising = train_forecaster(rising, units=4, epochs=3, seed=0)
+        assert (fc_rising.lo, fc_rising.hi) == (fc.lo, fc.hi) == (head.min(), head.max())
+        assert fc_rising.lstm.theta.tobytes() == fc.lstm.theta.tobytes()
+        assert mse_rising == mse
 
     def test_fit_with_partial_batch_equals_reference_fit(self, monkeypatch):
         # 96 windows: 77 train in batches of 32, 32 and 13.

@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varbid import cli, harness
+from varbid import cli, harness, market
 from varbid.harness import (SCHEMA, ConfigError, ExperimentConfig, _write_manifest,
                             build_config, emit_trace, parse_config_file, run_experiment,
                             run_matrix, sweep)
-from varbid.market import DEFAULT_GENCOS
-from varbid.nn import NumericError
+from varbid.agent import BiddingTask, greedy_episode
+from varbid.forecast import load_forecaster
+from varbid.market import DEFAULT_GENCOS, ReactiveMarketEnv
+from varbid.nn import NumericError, load_network
 
 
 def tiny_kwargs(out_dir, **overrides):
@@ -203,6 +205,22 @@ class TestRunExperiment:
         for column in ("t", "d_norm", "b1_2", "b2_6", "qg_1", "qg_6", "price_3", "reward"):
             assert column in rows[0]
 
+    def test_trace_replays_the_acting_network(self, run):
+        _, out = run
+        config = tiny_config(out)
+        for seed in config.seeds:
+            env = ReactiveMarketEnv(gencos=tuple(config.gencos()),
+                                    learner=config.learner_index(),
+                                    rival_strategy=config.strategy,
+                                    demand_config=config.demand_config(),
+                                    episode_steps=config.episode_steps)
+            task = BiddingTask(env, load_forecaster(str(out / f"forecaster_seed{seed}.json")))
+            net = load_network(str(out / f"qnet_target_seed{seed}.json"))
+            _, infos = greedy_episode(task, net, harness.derive_env_seed(seed))
+            rows = read_rows(out / f"trace_seed{seed}.csv")
+            assert [int(r["action"]) for r in rows] == [info["action"] for info in infos]
+            assert [float(r["reward"]) for r in rows] == [info["reward"] for info in infos]
+
     def test_single_seed_sigma_zero(self, tmp_path):
         summary = run_experiment(tiny_config(tmp_path / "one", seeds=(3,), trace=False))
         assert summary.sigma == 0.0
@@ -334,12 +352,15 @@ class TestSharedForecasterFits:
     def test_cell_with_other_forecaster_inputs_gets_its_own_fit(self, tmp_path, monkeypatch):
         calls = count_fits(monkeypatch)
         config = tiny_config(tmp_path / "g", seeds=(0,), trace=False, episodes=2)
-        cheaper = [dataclasses.replace(g, c1=0.5 * g.c1) for g in DEFAULT_GENCOS]
+        cheaper = [dataclasses.replace(g, c1=0.5 * g.c1, c2=0.5 * g.c2) for g in DEFAULT_GENCOS]
+        more_bg = [dataclasses.replace(g, bg=2.0 * g.bg) for g in DEFAULT_GENCOS]
         changes = {
             "base": {},
             "learner": {"learner_id": 3, "gamma": 0.5},  # not read by the fit: shared
             "same_table": {"genco_table": write_gencos(tmp_path / "same.csv", DEFAULT_GENCOS)},
-            "table": {"genco_table": write_gencos(tmp_path / "cheap.csv", cheaper)},
+            # the series reads only the total base generation: costs share the fit
+            "costs": {"genco_table": write_gencos(tmp_path / "cheap.csv", cheaper)},
+            "table": {"genco_table": write_gencos(tmp_path / "bg.csv", more_bg)},
             "demand": {"peak_units": 1.0},
             "series": {"forecaster_series_steps": 144},
             "epochs": {"forecaster_epochs": 3},
@@ -355,8 +376,21 @@ class TestSharedForecasterFits:
             seed = changes[name].get("seeds", (0,))[0]
             return (tmp_path / "g" / name / f"forecaster_seed{seed}.json").read_bytes()
 
-        assert saved("learner") == saved("same_table") == saved("base")
+        assert saved("learner") == saved("same_table") == saved("costs") == saved("base")
         assert len({saved(name) for name in changes}) == 6
+
+    def test_fit_clears_no_market(self, tmp_path, monkeypatch):
+        def clearing(*args, **kwargs):
+            raise AssertionError("the forecaster's series cleared a market")
+
+        monkeypatch.setattr(market, "clear_market_batch", clearing)
+        monkeypatch.setattr(market, "_solve_dispatch", clearing)
+        config = tiny_config(tmp_path, seeds=(0,))
+        series, forecaster, _ = harness.prepare_forecaster(config, 0)
+        assert series.tobytes() == market.simulate_total_quantity(
+            config.gencos(), config.demand_config(), harness.derive_env_seed(0),
+            config.forecaster_series_steps).tobytes()
+        assert np.all(np.isfinite(forecaster.lstm.theta))
 
     def test_consecutive_runs_fit_again(self, tmp_path, monkeypatch):
         calls = count_fits(monkeypatch)

@@ -4,10 +4,11 @@ import pytest
 from oracles import (bisect_dispatch, dispatch_objective, grid_dispatch,
                      random_dispatch_instance, rival_bids)
 from varbid import market
+from varbid.forecast import WINDOW
 from varbid.market import (DEFAULT_GENCOS, Bid, DemandConfig, GencoParams,
                            InfeasibleDemand, ReactiveMarketEnv, clear_market,
                            clear_market_batch, demand_profile, load_gencos,
-                           profit)
+                           profit, simulate_total_quantity)
 
 
 # Nine producers: numpy's row sums switch to pairwise summation from 8
@@ -376,9 +377,25 @@ class TestEnv:
 
     def test_lead_in_window_has_full_day(self):
         env = ReactiveMarketEnv(episode_steps=48)
-        lead = env.reset(0)
-        assert lead.shape == (24,)
-        assert np.all(lead > 0)
+        totals = env.reset(0)
+        assert totals.shape == (WINDOW + 48,)
+        assert np.all(totals[:WINDOW] > 0)
+
+    @pytest.mark.parametrize("strategy", ["b1", "b2"])
+    @pytest.mark.parametrize("gencos", [DEFAULT_GENCOS, NINE_GENCOS], ids=["six", "nine"])
+    def test_reset_returns_the_total_quantity_series(self, gencos, strategy):
+        env = ReactiveMarketEnv(gencos=gencos, learner=2, rival_strategy=strategy,
+                                demand_config=DemandConfig(peak_units=1.3), episode_steps=50)
+        for seed in (0, 1, 0):
+            totals = env.reset(seed)
+            expected = simulate_total_quantity(env.gencos, env.demand_config, seed,
+                                               env.episode_steps + WINDOW)
+            assert totals.tobytes() == expected.tobytes()
+            assert not totals.flags.writeable
+            # every clearing dispatches the whole requirement on top of base generation
+            for t in range(env.episode_steps):
+                qg = env.step((1.0 + 0.5 * (t % 9), 5.0 - 0.5 * (t % 9))).info["qg"]
+                assert sum(qg) == pytest.approx(totals[WINDOW + t], rel=0, abs=1e-12)
 
 
 def _reference_episode(gencos, learner, strategy, seed, actions, steps, lead_in=24):
