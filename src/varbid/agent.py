@@ -120,14 +120,15 @@ def q_values(net: Mlp, state: np.ndarray, n_actions: int = N_ACTIONS) -> np.ndar
     return _q_matrix(net, state[None, :], n_actions)[0]
 
 
-def select_action(qvals: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    """Greedy argmax (lowest index on ties) with probability 1 - epsilon,
-    otherwise a uniform random index."""
+def select_action(epsilon: float, rng: np.random.Generator, n_actions: int) -> int | None:
+    """The epsilon-greedy draw: with probability epsilon a uniform random index,
+    otherwise None, and the caller acts greedily (argmax, lowest index on ties).
+    Deciding first lets the caller evaluate Q only on greedy steps."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     if rng.random() < epsilon:
-        return int(rng.integers(len(qvals)))
-    return int(np.argmax(qvals))
+        return int(rng.integers(n_actions))
+    return None
 
 
 def compute_targets(rewards: np.ndarray, next_states: np.ndarray, terminal: np.ndarray,
@@ -368,8 +369,9 @@ def train(task: Task, config: TrainConfig, seed: int) -> TrainResult:
             if config.forced_action_index is not None:
                 action = config.forced_action_index
             else:
-                qv = q_values(target, state, n_actions)
-                action = select_action(qv, epsilon, rng_eps)
+                action = select_action(epsilon, rng_eps, n_actions)
+                if action is None:
+                    action = int(np.argmax(q_values(target, state, n_actions)))
             next_state, reward, done, info = task.step(action)
             buffer.add(state, action, reward, next_state, done)
             episode_reward += reward

@@ -273,13 +273,16 @@ def _run_cell(config: ExperimentConfig, fits: dict) -> ExperimentSummary:
     summary_rows = []  # seed, converged reward, converged truthful payment
     try:
         for seed in config.seeds:
-            key = _forecaster_inputs(config, seed)
-            forecaster = fits[key] = fits.get(key) or prepare_forecaster(config, seed)[1]
-            save_forecaster(forecaster, str(out / f"forecaster_seed{seed}.json"))
             env = ReactiveMarketEnv(gencos=tuple(gencos), learner=learner,
                                     rival_strategy=config.strategy,
                                     demand_config=config.demand_config(),
                                     episode_steps=config.episode_steps)
+            # train resets to this seed first, so the env keeps what this builds; an
+            # infeasible requirement raises here, before the fit.
+            env.reset(derive_env_seed(seed))
+            key = _forecaster_inputs(config, seed)
+            forecaster = fits[key] = fits.get(key) or prepare_forecaster(config, seed)[1]
+            save_forecaster(forecaster, str(out / f"forecaster_seed{seed}.json"))
             task = BiddingTask(env, forecaster)
             result = train(task, config, seed)
 

@@ -365,6 +365,7 @@ class ReactiveMarketEnv:
 
     @property
     def demand_values(self) -> np.ndarray:
+        """The episode's hourly requirement, read-only."""
         return self._values
 
     def reset(self, seed: int) -> np.ndarray:
@@ -386,6 +387,9 @@ class ReactiveMarketEnv:
         self._totals.setflags(write=False)  # reset hands out this array itself
         self._values = full.values[WINDOW:]
         self._d_norm = full.normalized[WINDOW:]
+        # The truthful counterfactual below is cleared against these values once.
+        self._values.setflags(write=False)
+        self._d_norm.setflags(write=False)
 
         # Rival noise is drawn hour-major with rivals in index order, as a
         # per-hour scalar draw for each rival would be.

@@ -10,10 +10,14 @@ them as views into it, listed in ``theta`` order by ``params()``. Backward
 passes return one gradient vector in that order, so the optimizer, the
 soft update and the gradient checker each work on one vector. All
 arithmetic is float64; the gradient checks need the headroom.
-``Mlp`` writes hidden layers into per-network buffers: a repeated forward
-allocates only its output, and the next call overwrites the layer inputs
-kept for backward. Bias and ReLU passes over ``_BLOCK_ROWS`` rows or more
-run on blocks viewed as long rows, at vector speed and bit-identical.
+``Mlp`` writes hidden layers into per-network buffers of ``_STREAM_ROWS``
+rows, mapped with the network and never regrown. ``forward`` streams a
+larger batch through them block by block into one output array, so it
+allocates only its output. The next call overwrites the layer inputs kept
+for backward; a training batch of more than ``_STREAM_ROWS`` rows gets
+layer arrays of its own, dropped after its backward pass. Bias and ReLU
+passes over ``_BLOCK_ROWS`` rows or more run on blocks viewed as long rows,
+at vector speed and bit-identical.
 """
 
 from __future__ import annotations
@@ -41,6 +45,15 @@ class NumericError(RuntimeError):
 # 64, and 744 us on the plain path. Batches under 128 rows, such as one state's
 # 81 rows or a 64-row training batch, keep the plain path, which suits them better.
 _BLOCK_ROWS = 128
+
+# Each Mlp hidden-layer buffer holds _STREAM_ROWS rows, so a net's buffers stay the
+# same size whatever batch it sees; forward runs a larger batch through them block by
+# block. On a 2-vCPU Intel Xeon (Sapphire Rapids) VM (numpy 2.4.6, OpenBLAS, 2 threads)
+# the nfq1 target pass over 64 states (5,184 rows; timeit, best to median of 15, three
+# sweeps) took 1.58-2.05 ms in one pass, 1.53-1.96 ms in blocks of 768 to 2,048 rows,
+# 1.96-2.23 ms at 512, 2.70-3.03 ms at 256 and 3.15-3.70 ms at 128, all with the one
+# pass's bits. At 1,024 rows two 64-wide layers take 1 MB of a core's 2 MB L2.
+_STREAM_ROWS = 1024
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -94,8 +107,15 @@ class Mlp:
                 )
         views = _pack(self, [p for pair in zip(weights, biases) for p in pair])
         self.weights, self.biases = views[0::2], views[1::2]
-        # forward's buffers: one (rows, width) array per hidden layer.
-        self._work = [np.empty((0, w.shape[0])) for w in self.weights[:-1]]
+        # The hidden-layer buffers: one (_STREAM_ROWS, width) array per hidden layer,
+        # never regrown. Each maps fresh anonymous memory, whose pages take memory only
+        # once written, so a net that sees small batches holds only the rows it uses.
+        # From malloc a buffer can take freed heap memory that is already resident:
+        # desk_nfq2 (batches of at most 81 rows) read 0.9 MB more peak_rss_mb that way.
+        # mmap is imported here so that a process that builds no Mlp never loads it.
+        import mmap
+        self._work = [np.frombuffer(mmap.mmap(-1, 8 * _STREAM_ROWS * w.shape[0]))
+                      .reshape(_STREAM_ROWS, w.shape[0]) for w in self.weights[:-1]]
         # Per hidden layer: the bias tiled _BLOCK_ROWS times (rewritten from the bias at
         # every use, since theta changes in place), zeros of that length, and one row of them.
         self._relu = []
@@ -145,25 +165,50 @@ class Mlp:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network on a single vector or a (batch, in) array; returns a new array."""
-        return self._forward_cache(x)[0]
+        """Evaluate the network on a single vector or a (batch, in) array; returns a new array.
+
+        A batch of more than ``_STREAM_ROWS`` rows runs through the hidden-layer buffers
+        in the fewest blocks that fit, of near-equal size rounded up to 8 rows: a short
+        tail block would run through other BLAS kernels (one row is a gemv) and so change
+        the last bits of its rows."""
+        x, a = self._batch(x)
+        rows = len(a)
+        if rows <= _STREAM_ROWS:
+            out = self._forward_into(a, self._work)[0]
+        else:
+            out = np.empty((rows, self.out_dim))
+            step = 8 * -(-rows // (8 * -(-rows // _STREAM_ROWS)))
+            for start in range(0, rows, step):
+                self._forward_into(a[start:start + step], self._work, out[start:start + step])
+        return out[0] if x.ndim == 1 else out
 
     def _forward_cache(self, x: np.ndarray):
-        """Output and every layer's input. Hidden layers go into this network's buffers,
-        grown to the largest batch, so the next call on this network overwrites the layer
-        inputs: run the backward pass before it. Bias and ReLU passes take each whole
-        block of ``_BLOCK_ROWS`` rows as one long row."""
+        """Output and every layer's input, for the backward pass, which needs the whole
+        batch. Up to ``_STREAM_ROWS`` rows the hidden layers go into this network's
+        buffers, so the next call on this network overwrites the layer inputs: run the
+        backward pass before it. A larger batch gets arrays of its own, not kept."""
+        x, a = self._batch(x)
+        work = (self._work if len(a) <= _STREAM_ROWS
+                else [np.empty((len(a), w.shape[0])) for w in self.weights[:-1]])
+        out, layer_inputs = self._forward_into(a, work)
+        return (out[0] if x.ndim == 1 else out), layer_inputs
+
+    def _batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``x`` as a float array, and its rows as a (batch, in) array."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.in_dim:
             raise ShapeError(f"input of shape {x.shape} is not a vector or a batch of "
                              f"{self.in_dim}-feature rows")
-        a = x[None, :] if x.ndim == 1 else x
+        return x, (x[None, :] if x.ndim == 1 else x)
+
+    def _forward_into(self, a: np.ndarray, work: list[np.ndarray], out=None):
+        """Output for the rows ``a``, written into ``out`` if given, and every layer's
+        input, the hidden layers in prefixes of the ``work`` arrays. Bias and ReLU passes
+        take each whole block of ``_BLOCK_ROWS`` rows as one long row."""
         rows = len(a)
-        if self._work and rows > len(self._work[0]):
-            self._work = [np.empty((rows, w.shape[0])) for w in self.weights[:-1]]
         layer_inputs = [a]
         for k, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            a = np.matmul(a, w.T, out=self._work[k][:rows])
+            a = np.matmul(a, w.T, out=work[k][:rows])
             tiled, zeros, zero_row = self._relu[k]
             rest = a
             if rows >= _BLOCK_ROWS:
@@ -177,9 +222,9 @@ class Mlp:
             rest += b
             np.maximum(rest, zero_row, out=rest)
             layer_inputs.append(a)
-        out = a @ self.weights[-1].T
+        out = np.matmul(a, self.weights[-1].T, out=out)
         out += self.biases[-1]  # in place: one output-sized array, not two
-        return (out[0] if x.ndim == 1 else out), layer_inputs
+        return out, layer_inputs
 
     def _backward_from_cache(self, layer_inputs, g: np.ndarray) -> np.ndarray:
         """Gradient of the row-summed <output, g> for a (batch, out) g, laid out like theta."""

@@ -3,16 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import nfq1_rows_reference, value_iteration
+from oracles import mlp_backward_reference, nfq1_rows_reference, value_iteration
 from toy_env import REWARDS, TRANSITIONS, TwoStateMdp, ZeroRewardTask
-from varbid.agent import (BiddingTask, N_ACTIONS, STATE_DIM, StepRecord, TrainConfig,
-                          _nfq1_rows, _q_matrix, action_decode, compute_targets, encode_state,
-                          q_values, select_action, td_error, train, warmup)
+from varbid import agent
+from varbid.agent import (BiddingTask, N_ACTIONS, STATE_DIM, STREAM_EPSILON, StepRecord,
+                          TrainConfig, _nfq1_rows, _q_matrix, action_decode, compute_targets,
+                          encode_state, q_values, select_action, td_error, train, warmup)
 from varbid.forecast import WINDOW, train_forecaster
 from varbid.harness import derive_env_seed
 from varbid.market import (DemandConfig, ReactiveMarketEnv, demand_profile,
                            simulate_total_quantity)
-from varbid.nn import Adam, Mlp, ShapeError
+from varbid.nn import _STREAM_ROWS, Adam, Mlp, ShapeError, _views
 from varbid.replay import ReplayBuffer
 
 
@@ -103,10 +104,12 @@ class TestQValues:
         assert np.array_equal(_nfq1_rows(states, actions[:, None], N_ACTIONS), taken)
 
     def test_warm_nfq1_target_pass_allocates_under_1mb(self):
-        # A cold call sizes the net's buffers; a warm one allocates only its
-        # (64 * 81, 14) input rows (0.66 MB) and its output, not the layers.
+        # The net's buffers are built with it and never grow; a warm pass allocates
+        # only its (64 * 81, 14) input rows (0.58 MB) and its output (41 kB). A
+        # hidden layer of all 5,184 rows would be 2.65 MB, one streamed block 0.44 MB.
         net = Mlp.random([14, 64, 64, 1], seed=9)
         states = np.random.default_rng(5).normal(size=(64, STATE_DIM))
+        buffers = list(net._work)
         _q_matrix(net, states, N_ACTIONS)
         tracemalloc.start()
         try:
@@ -115,6 +118,8 @@ class TestQValues:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, f"traced peak {peak / 1e6:.2f} MB"
+        assert peak < 64 * N_ACTIONS * (STATE_DIM + 2) * 8 + 100_000, f"traced peak {peak} B"
+        assert all(w is kept for w, kept in zip(net._work, buffers))
 
     def test_variant_shape_mismatch_rejected(self):
         state = np.zeros(STATE_DIM)
@@ -124,36 +129,80 @@ class TestQValues:
             q_values(Mlp.random([13, 16, 1], seed=0), state)
 
 
+class ActionLog(ZeroRewardTask):
+    """ZeroRewardTask over the full action grid that records every action it is given."""
+
+    n_actions = N_ACTIONS
+
+    def __init__(self):
+        super().__init__()
+        self.actions = []
+
+    def step(self, action):
+        self.actions.append(action)
+        return super().step(action)
+
+
 class TestSelectAction:
-    def test_greedy_at_zero_epsilon(self):
+    @staticmethod
+    def train_actions(epsilon, steps=20, seed=0):
+        """The actions of a train run at a constant epsilon with no training pass."""
+        task = ActionLog()
+        train(task, TrainConfig(epsilon0=epsilon, epsilon_decay=0.0, epsilon_min=epsilon,
+                                warmup_size=0, buffer_capacity=steps, batch_size=steps,
+                                steps_per_iteration=steps, max_iterations=1), seed)
+        return task.actions
+
+    @classmethod
+    def greedy_actions(cls, monkeypatch, q):
+        """train's actions at epsilon 0 when every Q evaluation returns ``q``."""
+        monkeypatch.setattr(agent, "q_values", lambda net, state, n_actions: q)
+        return cls.train_actions(0.0)
+
+    def test_greedy_at_zero_epsilon(self, monkeypatch):
         rng = np.random.default_rng(0)
+        assert all(select_action(0.0, rng, N_ACTIONS) is None for _ in range(20))
         q = np.zeros(81)
         q[17] = 2.0
-        assert all(select_action(q, 0.0, rng) == 17 for _ in range(20))
+        assert self.greedy_actions(monkeypatch, q) == [17] * 20
 
-    def test_tie_break_lowest_index(self):
-        rng = np.random.default_rng(0)
+    def test_tie_break_lowest_index(self, monkeypatch):
         q = np.zeros(81)
         q[3] = q[7] = 5.0
-        assert select_action(q, 0.0, rng) == 3
+        assert self.greedy_actions(monkeypatch, q) == [3] * 20
 
     def test_uniform_at_epsilon_one(self):
         rng = np.random.default_rng(1)
-        counts = np.bincount([select_action(np.zeros(81), 1.0, rng) for _ in range(100_000)],
+        counts = np.bincount([select_action(1.0, rng, N_ACTIONS) for _ in range(100_000)],
                              minlength=81)
         # three sigma band around 100000/81
         expected = 100_000 / 81
         sigma = np.sqrt(expected * (1 - 1 / 81))
         assert np.abs(counts - expected).max() < 3.5 * sigma
 
-    def test_constant_shift_does_not_change_argmax(self):
-        rng = np.random.default_rng(4)
-        q = rng.normal(size=81)
-        assert select_action(q, 0.0, rng) == select_action(q + 123.4, 0.0, rng)
+    def test_constant_shift_does_not_change_argmax(self, monkeypatch):
+        q = np.random.default_rng(4).normal(size=81)
+        assert self.greedy_actions(monkeypatch, q) == self.greedy_actions(monkeypatch, q + 123.4)
 
     def test_epsilon_out_of_range(self):
         with pytest.raises(ValueError):
-            select_action(np.zeros(3), 1.2, np.random.default_rng(0))
+            select_action(1.2, np.random.default_rng(0), 3)
+
+    def test_draws_random_then_index_and_train_evaluates_q_only_when_greedy(self, monkeypatch):
+        epsilon, seed = 0.5, 3
+        twin = np.random.default_rng(7)
+        draws = [int(twin.integers(N_ACTIONS)) if twin.random() < epsilon else None
+                 for _ in range(200)]
+        rng = np.random.default_rng(7)
+        assert [select_action(epsilon, rng, N_ACTIONS) for _ in range(200)] == draws
+        evaluated = []
+        real = agent.q_values
+        monkeypatch.setattr(agent, "q_values", lambda *args: evaluated.append(1) or real(*args))
+        actions = self.train_actions(epsilon, steps=40, seed=seed)
+        rng_eps = np.random.default_rng([seed, STREAM_EPSILON])
+        draws = [select_action(epsilon, rng_eps, N_ACTIONS) for _ in actions]
+        assert 0 < len(evaluated) == draws.count(None) < len(actions)
+        assert all(a == d for a, d in zip(actions, draws) if d is not None)
 
 
 def _exp(state, action, reward, next_state, terminal=False):
@@ -315,6 +364,38 @@ class TestTrain:
             _one_training_pass(local, local.copy(), buf, Adam(learning_rate=cfg.learning_rate),
                                cfg, 81, np.random.default_rng(0),
                                context="iteration 7, epsilon 0.5, gamma 0.3")
+
+    def test_training_pass_over_stream_rows_matches_reference_gradient(self):
+        from varbid.agent import _one_training_pass
+
+        class GradientLog:  # stands in for the optimizer; keeps the gradient it is given
+            def step(self, net, grad):
+                self.grad = grad.copy()
+
+        m = _STREAM_ROWS + 1
+        cfg = toy_config(batch_size=m, variant="nfq1")
+        buf = ReplayBuffer(m + 100, state_dim=STATE_DIM, n_actions=N_ACTIONS)
+        rng = np.random.default_rng(11)
+        for _ in range(m + 100):
+            buf.add(rng.normal(size=STATE_DIM), int(rng.integers(N_ACTIONS)), rng.normal(),
+                    rng.normal(size=STATE_DIM), bool(rng.random() < 0.1))
+        local, target = (Mlp.random([STATE_DIM + 1, 64, 64, 1], seed=k) for k in (1, 2))
+        batch = buf.sample(m, np.random.default_rng(12))
+        y = compute_targets(batch.rewards, batch.next_states, batch.terminal, target, cfg.gamma)
+        x = np.column_stack([batch.states, batch.actions / (N_ACTIONS - 1)])
+        h = x
+        for w, b in zip(local.weights[:-1], local.biases[:-1]):
+            h = np.maximum(h @ w.T + b, 0.0)
+        out = h @ local.weights[-1].T + local.biases[-1]
+        g = (2.0 * (out[:, 0] - y) / m)[:, None]
+        expected = mlp_backward_reference(local.weights, local.biases, x, g)
+
+        log = GradientLog()
+        _one_training_pass(local, target, buf, log, cfg, N_ACTIONS, np.random.default_rng(12),
+                           context="test")
+        assert all(np.array_equal(v, e) for v, e in zip(_views(log.grad, local.shapes), expected))
+        for net in (local, target):
+            assert [w.shape[0] for w in net._work] == [_STREAM_ROWS, _STREAM_ROWS]
 
     def test_priority_consistency_after_iteration(self):
         # After training, re-deriving |delta| + eps from the final networks

@@ -11,7 +11,7 @@ from varbid.harness import (SCHEMA, ConfigError, ExperimentConfig, _write_manife
                             run_matrix, sweep)
 from varbid.agent import BiddingTask, greedy_episode
 from varbid.forecast import load_forecaster
-from varbid.market import DEFAULT_GENCOS, ReactiveMarketEnv
+from varbid.market import DEFAULT_GENCOS, GencoParams, InfeasibleDemand, ReactiveMarketEnv
 from varbid.nn import NumericError, load_network
 
 
@@ -391,6 +391,19 @@ class TestSharedForecasterFits:
             config.gencos(), config.demand_config(), harness.derive_env_seed(0),
             config.forecaster_series_steps).tobytes()
         assert np.all(np.isfinite(forecaster.lstm.theta))
+
+    def test_infeasible_table_fails_before_the_fit(self, tmp_path, monkeypatch):
+        def fit(*args, **kwargs):
+            raise AssertionError("fitted a forecaster for an infeasible table")
+
+        monkeypatch.setattr(harness, "train_forecaster", fit)
+        short = (GencoParams(1, 0.7, 0.3, 0.0, 0.05), GencoParams(2, 0.6, 0.4, 0.0, 0.05))
+        config = tiny_config(tmp_path / "run", learner_id=1, seeds=(0,),
+                             genco_table=write_gencos(tmp_path / "short.csv", short))
+        with pytest.raises(InfeasibleDemand) as err:
+            run_experiment(config)
+        assert err.value.max_deliverable == pytest.approx(0.1)
+        assert not list((tmp_path / "run").glob("forecaster_seed*.json"))
 
     def test_consecutive_runs_fit_again(self, tmp_path, monkeypatch):
         calls = count_fits(monkeypatch)

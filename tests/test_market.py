@@ -338,6 +338,18 @@ class TestEnv:
         assert np.array_equal(first, again)
         assert np.array_equal(env.demand_values, env.demand_values)
 
+    def test_demand_values_are_read_only(self):
+        env = ReactiveMarketEnv(episode_steps=48)
+        env.reset(3)
+        expected = env.step((2.0, 2.0))
+        env.reset(3)
+        with pytest.raises(ValueError, match="read-only"):
+            env.demand_values[:] = 0.0
+        step = env.step((2.0, 2.0))
+        assert step.info["demand"] == expected.info["demand"] > 0.0
+        assert step.info["d_norm"] == expected.info["d_norm"]
+        assert step.reward == expected.reward
+
     def test_distinct_seeds_differ_but_stay_daily_periodic(self):
         env = ReactiveMarketEnv(episode_steps=240)
         env.reset(1)

@@ -7,8 +7,8 @@ import pytest
 from oracles import (AdamReference, lstm_backward_reference, lstm_forward_cache_reference,
                      lstm_hidden_reference, mlp_backward_reference, sigmoid_reference,
                      soft_update_reference)
-from varbid.nn import (_BLOCK_ROWS, Adam, Lstm, Mlp, NumericError, ShapeError, _sigmoid, _views,
-                       grad_check, load_network, save_network, soft_update)
+from varbid.nn import (_BLOCK_ROWS, _STREAM_ROWS, Adam, Lstm, Mlp, NumericError, ShapeError,
+                       _sigmoid, _views, grad_check, load_network, save_network, soft_update)
 
 
 def mlp_grads(net, x, g):
@@ -139,8 +139,8 @@ class TestMlpWorkspace:
         # Each result is its own array, untouched by the calls after it.
         assert all(np.array_equal(out, kept) for out, kept in calls)
         assert not any(np.shares_memory(out, w) for out, _ in calls for w in net._work)
-        # One (largest batch, width) buffer per hidden layer.
-        assert [w.shape for w in net._work] == [(5184, 64), (5184, 64)]
+        # One (_STREAM_ROWS, width) buffer per hidden layer, whatever the batch.
+        assert [w.shape for w in net._work] == [(_STREAM_ROWS, 64), (_STREAM_ROWS, 64)]
 
     def test_single_vector_uses_buffers_too(self):
         net = Mlp.random([6, 8, 3], seed=5)
@@ -148,7 +148,7 @@ class TestMlpWorkspace:
         out = net.forward(x)
         assert out.shape == (3,)
         assert np.array_equal(out, net._forward_cache(x)[0])
-        assert [w.shape for w in net._work] == [(1, 8)]
+        assert [w.shape for w in net._work] == [(_STREAM_ROWS, 8)]
 
     def test_net_without_hidden_layer(self):
         net = Mlp.random([14, 1], seed=6)
@@ -165,7 +165,7 @@ class TestMlpWorkspace:
         x = np.random.default_rng(4).normal(size=(100, 14))
         expected = net.forward(x)
         twin = net.copy()
-        assert [w.shape[0] for w in twin._work] == [0, 0]
+        assert [w.shape[0] for w in twin._work] == [_STREAM_ROWS, _STREAM_ROWS]
         assert np.array_equal(twin.forward(x), expected)
         assert not any(np.shares_memory(a, b) for a in net._work for b in twin._work)
         after = tmp_path / "after.json"
@@ -189,16 +189,22 @@ class TestMlpWorkspace:
             assert np.array_equal(net.forward(x), expected), rows
             assert np.array_equal(net._forward_cache(x)[0], expected), rows
 
+    # Rows at each edge of the streamed blocks, and the nfq1 target pass.
+    STREAM_EDGES = [1, 81, _STREAM_ROWS - 1, _STREAM_ROWS, _STREAM_ROWS + 1,
+                    2 * _STREAM_ROWS + 1, 5184]
+
     @pytest.mark.parametrize("sizes", [[14, 64, 64, 1], [13, 64, 81]])
     def test_long_row_passes_equal_expression_at_every_block_edge(self, sizes):
         r = _BLOCK_ROWS
         rows_list = [1, r - 1, r, r + 1, 81, 2 * r - 1, 2 * r, 2 * r + 1, 5184, 64]
-        self.assert_paths_match_expression(self.with_random_biases(sizes, seed=3), rows_list)
+        net = self.with_random_biases(sizes, seed=3)
+        self.assert_paths_match_expression(net, rows_list + self.STREAM_EDGES)
+        assert [w.shape[0] for w in net._work] == [_STREAM_ROWS] * (len(sizes) - 2)
 
     @pytest.mark.parametrize("sizes", [[14, 64, 64, 1], [13, 64, 81]])
     def test_in_place_parameter_writes_reach_the_tiled_bias(self, sizes, tmp_path):
         net = self.with_random_biases(sizes, seed=5)
-        rows_list = [5184, 2 * _BLOCK_ROWS + 1]
+        rows_list = [2 * _BLOCK_ROWS + 1] + self.STREAM_EDGES
         self.assert_paths_match_expression(net, rows_list)  # tiles the old biases
         opt = Adam(learning_rate=0.1)
         opt.step(net, np.random.default_rng(1).normal(size=net.theta.shape))
@@ -225,6 +231,21 @@ class TestMlpWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 200_000, f"traced peak {peak / 1e3:.0f} kB"
+
+    @pytest.mark.parametrize("sizes", [[14, 64, 64, 1], [13, 64, 81]])
+    def test_buffers_keep_stream_rows_for_any_batch(self, sizes):
+        net = self.with_random_biases(sizes, seed=10)
+        buffers = list(net._work)
+        x = np.random.default_rng(10).normal(size=(20_000, net.in_dim))
+        # Past about 7,200 rows (measured with OpenBLAS 0.3.31 on 2 threads) one
+        # pass gives some rows other last bits than blocks do: compare values only.
+        assert np.allclose(net.forward(x), self.expression_forward(net, x), rtol=1e-12, atol=1e-12)
+        # A training batch over _STREAM_ROWS rows keeps its layers in arrays of its own.
+        out, cache = net._forward_cache(x[:_STREAM_ROWS + 1])
+        assert np.array_equal(out, self.expression_forward(net, x[:_STREAM_ROWS + 1]))
+        assert not any(np.shares_memory(a, w) for a in cache for w in buffers)
+        assert all(w is kept for w, kept in zip(net._work, buffers))
+        assert [w.shape for w in net._work] == [(_STREAM_ROWS, n) for n in sizes[1:-1]]
 
     def test_warm_wide_output_allocates_one_output_array(self):
         # The (5184, 81) output is 3.36 MB; adding the bias in place keeps a
