@@ -3,8 +3,9 @@
 The learner's state is a 13-vector: its bid magnification pairs and
 rewards at lags 48, 24, 2 and 1 hours (padded with the truthful-neutral
 values 1.0 / 0.0 before history exists) plus a normalized next-hour
-requirement estimate from the forecaster. Actions index an 81-point grid
-of magnification pairs, each coordinate in {1.0, 1.5, ..., 5.0}.
+requirement estimate from the forecaster. Actions index the 81-point grid
+of magnification pairs, each coordinate in ``market.MAGNIFICATIONS``
+(1.0, 1.5, ..., 5.0), the grid the environment's dispatch table keeps.
 
 The Q-network's shape fixes its layout: nfq2 maps a state to one value per
 action; nfq1 maps a state with the normalized action index a / (n - 1)
@@ -20,18 +21,19 @@ the updated local network, then soft-update the target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 import numpy as np
 
 from .forecast import WINDOW
-from .market import ReactiveMarketEnv
+from .market import MAGNIFICATIONS, ReactiveMarketEnv
 from .nn import Adam, Mlp, NumericError, ShapeError, soft_update
 from .replay import ReplayBuffer
 
-N_ACTIONS = 81
-ACTIONS_PER_AXIS = 9
+ACTIONS_PER_AXIS = len(MAGNIFICATIONS)
+N_ACTIONS = ACTIONS_PER_AXIS ** 2
 STATE_DIM = 13
 STATE_LAGS = (48, 24, 2, 1)
 VARIANTS = ("nfq1", "nfq2")
@@ -49,8 +51,7 @@ def action_decode(index: int) -> tuple[float, float]:
     """Grid index -> magnification pair; the first coordinate is the major axis."""
     if not 0 <= index < N_ACTIONS:
         raise ValueError(f"action index must be in [0, {N_ACTIONS - 1}], got {index}")
-    return (1.0 + 0.5 * (index // ACTIONS_PER_AXIS),
-            1.0 + 0.5 * (index % ACTIONS_PER_AXIS))
+    return MAGNIFICATIONS[index // ACTIONS_PER_AXIS], MAGNIFICATIONS[index % ACTIONS_PER_AXIS]
 
 
 class StepRecord(NamedTuple):
@@ -88,11 +89,13 @@ def encode_state(records, t: int, requirement_estimate: float) -> np.ndarray:
 
 def _is_nfq1(net: Mlp, state_dim: int, n_actions: int) -> bool:
     """The network's layout: True for nfq1, False for nfq2, ShapeError for neither."""
-    layouts = {(state_dim, n_actions): False, (state_dim + 1, 1): True}
-    if (net.in_dim, net.out_dim) not in layouts:
-        raise ShapeError(f"network maps {net.in_dim} inputs to {net.out_dim} outputs; expected "
-                         f"nfq2 ({state_dim} -> {n_actions}) or nfq1 ({state_dim + 1} -> 1)")
-    return layouts[net.in_dim, net.out_dim]
+    layout = (net.in_dim, net.out_dim)
+    if layout == (state_dim, n_actions):
+        return False
+    if layout == (state_dim + 1, 1):
+        return True
+    raise ShapeError(f"network maps {net.in_dim} inputs to {net.out_dim} outputs; expected "
+                     f"nfq2 ({state_dim} -> {n_actions}) or nfq1 ({state_dim + 1} -> 1)")
 
 
 def _nfq1_rows(states: np.ndarray, actions: np.ndarray, n_actions: int) -> np.ndarray:
@@ -190,8 +193,13 @@ class BiddingTask:
         return encode_state(self._records, 0, self._estimates[0])
 
     def step(self, action: int):
+        """Act in the env and record the step. After the last hour it follows the env:
+        the current state, reward 0.0, done and ``{"exhausted": True}``, with no record."""
         a1, a2 = action_decode(action)
         result = self.env.step((a1, a2))
+        if "exhausted" in result.info:
+            t = len(self._records)
+            return encode_state(self._records, t, self._estimates[t]), 0.0, True, result.info
         self._records.append(StepRecord(a1, a2, result.reward))
         t = len(self._records)
         state = encode_state(self._records, t, self._estimates[t])
@@ -319,8 +327,8 @@ def _one_training_pass(local: Mlp, target: Mlp, buffer: ReplayBuffer, opt,
         inputs, taken = batch.states, (np.arange(m), batch.actions)
     out, cache = local._forward_cache(inputs)  # the backward pass runs before the next forward
     err = out[taken] - y
-    loss = float(np.mean(err * err))
-    if not np.isfinite(loss):
+    loss = float((err * err).sum() / m)  # np.mean's bits, without its wrapper's cost
+    if not math.isfinite(loss):
         raise NumericError(f"diverged ({context}): non-finite TD loss")
     grad_out = np.zeros_like(out)
     grad_out[taken] = 2.0 * err / m
@@ -330,7 +338,7 @@ def _one_training_pass(local: Mlp, target: Mlp, buffer: ReplayBuffer, opt,
     q_new = local.forward(inputs)[taken]
     deltas = y - q_new
     buffer.update_priorities(batch.indices, deltas)
-    return float(np.mean(np.abs(deltas)))
+    return float(np.abs(deltas).sum() / m)
 
 
 def train(task: Task, config: TrainConfig, seed: int) -> TrainResult:

@@ -33,6 +33,9 @@ RIVAL_STRATEGIES = ("b1", "b2")
 MIN_PROFILE_STEPS = 49  # two days of history for the 48-hour state lag, plus one hour
 MIN_EPISODE_STEPS = MIN_PROFILE_STEPS - WINDOW  # the env's profile adds a WINDOW lead-in
 B1_NOISE = 0.05  # uniform demand-observation noise for strategy b1 rivals
+# The learner's bid magnification grid, one axis: 1.0, 1.5, ..., 5.0. A grid action
+# is a pair (a1, a2) of these, at position len(MAGNIFICATIONS) * i1 + i2.
+MAGNIFICATIONS = tuple(1.0 + 0.5 * i for i in range(9))
 
 
 class InfeasibleDemand(RuntimeError):
@@ -344,6 +347,16 @@ class ReactiveMarketEnv:
     scalar solver, so the neutral action (1, 1) earns exactly zero. The
     step's ``info`` holds the hour's bids, per-producer totals ``qg`` and
     nodal ``prices`` as lists of floats, in producer order.
+
+    With the kept seed, an hour's clearing depends only on the action. So
+    the first reset that rewinds the kept seed switches on a dispatch
+    table of ``episode_steps`` x 81 rows, one per hour and grid action
+    (``MAGNIFICATIONS`` squared). From then on a grid action's first
+    clearing at an hour stores its dispatch, and a repeat reads it back
+    instead of clearing again; ``info`` and the reward are built from the
+    row the same way either way, so they are the same bits. A seed's
+    first episode, fresh seeds and off-grid pairs never use the table,
+    and a reset to another seed drops it.
     """
 
     gencos: tuple = DEFAULT_GENCOS
@@ -362,6 +375,7 @@ class ReactiveMarketEnv:
         self._t = self.episode_steps  # unusable until reset
         self._bids_b1: list | None = None
         self._seed = None  # seed whose arrays are held
+        self._known = None  # (T, 81) flags of the dispatch table's filled rows, see above
 
     @property
     def demand_values(self) -> np.ndarray:
@@ -372,15 +386,21 @@ class ReactiveMarketEnv:
         """Start an episode: series, rival bids and truthful counterfactual.
 
         They are rebuilt only when the seed differs from the last one that
-        cleared. Returns the total quantities of the lead-in and the episode.
+        cleared; the first rewind of the kept seed switches the dispatch
+        table on. Returns the total quantities of the lead-in and the episode.
         """
         if seed != self._seed:
             self._build(seed)
+        elif self._known is None:
+            shape = (self.episode_steps, len(MAGNIFICATIONS) ** 2)
+            self._known = np.zeros(shape, dtype=bool)
+            self._dispatch = np.empty(shape + (len(self.gencos),))
         self._t = 0
         return self._totals
 
     def _build(self, seed: int) -> None:
         self._seed = None
+        self._known = self._dispatch = None
         self._t = self.episode_steps  # stays unusable if the clearing below raises
         full = demand_profile(self.episode_steps + WINDOW, seed, self.demand_config)
         self._totals = sum(g.bg for g in self.gencos) + full.values
@@ -406,7 +426,8 @@ class ReactiveMarketEnv:
             b1 = np.tile(c1, (self.episode_steps, 1))
             b2 = np.tile(c2, (self.episode_steps, 1))
         b1[:, k], b2[:, k] = me.c1, me.c2
-        self._qmax = [g.q_max for g in self.gencos]
+        # Floats, so a dispatch read back from the table has the types of a fresh one.
+        self._qmax = [float(g.q_max) for g in self.gencos]
         x, _ = clear_market_batch(b1, b2, np.array(self._qmax), self._values)
         base_price = me.c1 + 2.0 * me.c2 * x[:, k]
         base_qg = me.bg + x[:, k]
@@ -430,7 +451,14 @@ class ReactiveMarketEnv:
         b1 = list(self._bids_b1[t])
         b2 = list(self._bids_b2[t])
         b1[k], b2[k] = a1 * me.c1, a2 * me.c2
-        x, _ = _solve_dispatch(b1, b2, self._qmax, demand)
+        row = self._table_row(t, a1, a2)
+        if row is not None and self._known[row]:
+            x = self._dispatch[row].tolist()
+        else:
+            x, _ = _solve_dispatch(b1, b2, self._qmax, demand)
+            if row is not None:
+                self._dispatch[row] = x
+                self._known[row] = True
         qg = [g.bg + xi for g, xi in zip(self.gencos, x)]
         prices = [b1i + 2.0 * b2i * xi for b1i, b2i, xi in zip(b1, b2, x)]
         p_base = self._base_profit[t]
@@ -448,6 +476,17 @@ class ReactiveMarketEnv:
             "prices": prices,
         }
         return EnvStep(profit(prices[k], qg[k], me) - p_base, self._t >= self.episode_steps, info)
+
+    def _table_row(self, t: int, a1: float, a2: float) -> tuple[int, int] | None:
+        """The dispatch table's (hour, grid position) for a grid action while the
+        table is on; None otherwise. On [1, 5], 2 (a - 1) is exact, so it is an
+        integer just at the grid points."""
+        if self._known is None:
+            return None
+        i1, i2 = 2.0 * (a1 - 1.0), 2.0 * (a2 - 1.0)
+        if i1.is_integer() and i2.is_integer():
+            return t, len(MAGNIFICATIONS) * int(i1) + int(i2)
+        return None
 
 
 def simulate_total_quantity(gencos=DEFAULT_GENCOS, demand_config: DemandConfig = DemandConfig(),

@@ -79,7 +79,7 @@ class ReplayBuffer:
             raise ValueError(
                 f"state shapes {s.shape}/{nxt.shape} do not match dimension {self.state_dim}"
             )
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(nxt)) and np.isfinite(reward)):
+        if not (np.isfinite(s).all() and np.isfinite(nxt).all() and math.isfinite(reward)):
             raise ValueError("experience contains non-finite values")
         if (isinstance(action, bool) or not isinstance(action, (int, np.integer))
                 or not 0 <= action < self.n_actions):

@@ -11,7 +11,7 @@ from varbid.agent import (BiddingTask, N_ACTIONS, STATE_DIM, STREAM_EPSILON, Ste
                           encode_state, q_values, select_action, td_error, train, warmup)
 from varbid.forecast import WINDOW, train_forecaster
 from varbid.harness import derive_env_seed
-from varbid.market import (DemandConfig, ReactiveMarketEnv, demand_profile,
+from varbid.market import (MAGNIFICATIONS, DemandConfig, ReactiveMarketEnv, demand_profile,
                            simulate_total_quantity)
 from varbid.nn import _STREAM_ROWS, Adam, Mlp, ShapeError, _views
 from varbid.replay import ReplayBuffer
@@ -26,6 +26,11 @@ class TestActionGrid:
 
     def test_last_action_is_max(self):
         assert action_decode(80) == (5.0, 5.0)
+
+    def test_grid_is_the_market_magnification_grid(self):
+        assert MAGNIFICATIONS == tuple(1.0 + 0.5 * i for i in range(9))
+        assert [action_decode(k) for k in range(N_ACTIONS)] == [
+            (a1, a2) for a1 in MAGNIFICATIONS for a2 in MAGNIFICATIONS]
 
     def test_grid_covers_81_distinct_pairs(self):
         pairs = {action_decode(k) for k in range(N_ACTIONS)}
@@ -492,6 +497,28 @@ class TestBiddingTask:
         task.reset(0)
         assert len(calls) == 41
         assert np.array_equal(task._estimates, first)
+
+    def test_step_after_the_last_hour_follows_the_env(self, forecaster):
+        T = 25
+        actions = [(7 * t) % N_ACTIONS for t in range(T)]
+        task = BiddingTask(ReactiveMarketEnv(episode_steps=T), forecaster)
+        task.reset(4)
+        for a in actions[:-1]:
+            task.step(a)
+        last_state, _, done, _ = task.step(actions[-1])
+        assert done
+        records = list(task._records)
+        for a in (0, 80):
+            state, reward, done, info = task.step(a)
+            assert np.array_equal(state, last_state)
+            assert (reward, done, info) == (0.0, True, {"exhausted": True})
+            assert task._records == records
+        fresh = BiddingTask(ReactiveMarketEnv(episode_steps=T), forecaster)
+        for t in (task, fresh):
+            t.reset(4)
+        for a in actions:
+            got, want = task.step(a), fresh.step(a)
+            assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("strategy", ["b1", "b2"])
     def test_estimates_equal_lead_in_and_episode_windows(self, forecaster, strategy):

@@ -241,6 +241,24 @@ class TestDeterminism:
         for name in ("curve_seed0.csv", "trace_seed0.csv", "summary.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_dispatch_table_leaves_every_output_unchanged(self, tmp_path, monkeypatch):
+        solves = []
+        real = market._solve_dispatch
+        monkeypatch.setattr(market, "_solve_dispatch", lambda *a: solves.append(1) or real(*a))
+        run_experiment(tiny_config(tmp_path / "table"))
+        with_table = len(solves)
+        monkeypatch.setattr(ReactiveMarketEnv, "_table_row", lambda self, t, a1, a2: None)
+        run_experiment(tiny_config(tmp_path / "miss"))
+        assert with_table < len(solves) - with_table  # the table served repeats
+        names = sorted(p.name for p in (tmp_path / "table").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "miss").iterdir())
+        assert "qnet_target_seed1.json" in names and "trace_seed1.csv" in names
+        for name in names:
+            a, b = (tmp_path / "table" / name).read_bytes(), (tmp_path / "miss" / name).read_bytes()
+            if name == "manifest.txt":  # records its own out_dir
+                a, b = a.replace(b"table", b"miss"), b.replace(b"table", b"miss")
+            assert a == b, name
+
 
 class TestMatrix:
     def test_cross_product_tables(self, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from oracles import (bisect_dispatch, dispatch_objective, grid_dispatch,
                      random_dispatch_instance, rival_bids)
 from varbid import market
+from varbid.agent import action_decode
 from varbid.forecast import WINDOW
 from varbid.market import (DEFAULT_GENCOS, Bid, DemandConfig, GencoParams,
                            InfeasibleDemand, ReactiveMarketEnv, clear_market,
@@ -562,3 +563,91 @@ class TestGencoTable:
                         "2,0.68,0.39,0.03,0.5\n2,0.75,0.43,0.03,0.5\n")
         with pytest.raises(ValueError, match="producer id 2 repeated"):
             load_gencos(str(path))
+
+
+def _count_solves(monkeypatch) -> list:
+    """Patch the env's dispatch solver to count its calls."""
+    calls = []
+    real = market._solve_dispatch
+
+    def solve(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(market, "_solve_dispatch", solve)
+    return calls
+
+
+GRID = [(a1, a2) for a1 in market.MAGNIFICATIONS for a2 in market.MAGNIFICATIONS]
+
+
+class TestDispatchTable:
+    T = 25
+
+    def _grid_pass(self, env, seed):
+        """Every grid action at every hour: one episode per action, in grid order."""
+        rows = []
+        for action in GRID:
+            env.reset(seed)
+            rows.extend(repr(env.step(action)) for _ in range(self.T))
+        return rows
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("strategy", ["b1", "b2"])
+    @pytest.mark.parametrize("gencos", [DEFAULT_GENCOS, NINE_GENCOS], ids=["six", "nine"])
+    def test_second_pass_reads_the_table_bit_for_bit(self, gencos, strategy, seed, monkeypatch):
+        make = lambda: ReactiveMarketEnv(gencos=gencos, learner=2, rival_strategy=strategy,
+                                         episode_steps=self.T)
+        # Reference: a fresh env for every episode, so no step can read a table.
+        fresh = []
+        for action in GRID:
+            env = make()
+            env.reset(seed)
+            fresh.extend(repr(env.step(action)) for _ in range(self.T))
+        env = make()
+        env.reset(seed)
+        solves = _count_solves(monkeypatch)
+        first = self._grid_pass(env, seed)
+        assert len(solves) == len(GRID) * self.T  # the first pass fills the table
+        assert env._known.all()
+        second = self._grid_pass(env, seed)
+        assert len(solves) == len(GRID) * self.T  # the second pass only reads it
+        # repr shows every float's exact value and type, and tells -0.0 from 0.0
+        assert first == fresh and second == fresh
+
+    def test_grid_positions_follow_the_agent_action_index(self):
+        env = ReactiveMarketEnv(episode_steps=self.T)
+        env.reset(0)
+        env.reset(0)
+        positions = [env._table_row(3, *action_decode(j)) for j in range(81)]
+        assert positions == [(3, j) for j in range(81)]
+        for pair in [(1.25, 4.75), (1.0, 1.0000000000000002), (4.999999999999999, 5.0)]:
+            assert env._table_row(3, *pair) is None
+
+    def test_first_visit_and_off_grid_pairs_never_touch_the_table(self, monkeypatch):
+        off_grid = [(1.25, 4.75), (2.0, 4.75), (1.25, 2.0)]
+        actions = [off_grid[t % 3] for t in range(self.T)]
+        env = ReactiveMarketEnv(episode_steps=self.T)
+        solves = _count_solves(monkeypatch)
+        env.reset(0)
+        for _ in range(self.T):
+            env.step((2.0, 3.5))
+        assert env._known is None  # a seed's first episode keeps nothing
+        episodes = [[repr(s) for s in _episode(env, 0, actions)[1]] for _ in range(2)]
+        assert env._known is not None and not env._known.any()
+        # the build's truthful batch, then one clearing for every step
+        assert len(solves) == 4 * self.T
+        fresh = _episode(ReactiveMarketEnv(episode_steps=self.T), 0, actions)[1]
+        assert episodes[0] == episodes[1] == [repr(s) for s in fresh]
+
+    def test_rebuild_drops_the_table_and_its_shape_stays_fixed(self):
+        env = ReactiveMarketEnv(gencos=NINE_GENCOS, episode_steps=self.T)
+        for seed in range(10):
+            env.reset(seed)
+            assert env._known is None and env._dispatch is None
+            env.reset(seed)
+            for t in range(self.T):
+                env.step(GRID[(seed + t) % 81])
+            assert env._known.shape == (self.T, 81)
+            assert env._dispatch.shape == (self.T, 81, 9)
+            assert env._known.sum() == self.T

@@ -126,6 +126,22 @@ class TestMlpWorkspace:
             a = np.maximum(a @ w.T + b, 0.0)
         return a @ net.weights[-1].T + net.biases[-1]
 
+    @pytest.mark.parametrize("sizes", [[13, 64, 81], [14, 64, 64, 1]])
+    def test_plain_path_scalar_relu_equals_zero_row_relu(self, sizes):
+        # Below _BLOCK_ROWS the ReLU is a maximum against the scalar 0.0; against a
+        # broadcast zero row, as the plain path once ran it, every bit must agree.
+        net = Mlp.random(sizes, seed=6)
+        rng = np.random.default_rng(3)
+        for rows in (1, 15, 16, 17, 64, 81, 127):
+            x = rng.normal(size=(rows, sizes[0]))
+            a = x
+            for w, b in zip(net.weights[:-1], net.biases[:-1]):
+                a = np.maximum(a @ w.T + b, np.zeros(w.shape[0]))
+            zero_row = a @ net.weights[-1].T + net.biases[-1]
+            out = net.forward(x)
+            assert out.tobytes() == zero_row.tobytes() == self.expression_forward(net, x).tobytes()
+            assert out.tobytes() == net._forward_cache(x)[0].tobytes()
+
     def test_buffered_forward_equals_fresh_path_bit_for_bit(self):
         net = Mlp.random([14, 64, 64, 1], seed=4)
         rng = np.random.default_rng(2)
