@@ -7,7 +7,7 @@ bidding its true costs.
 
 import numpy as np
 
-from varbid import (Bid, DEFAULT_GENCOS, ReactiveMarketEnv, clear_market,
+from varbid import (Bid, DEFAULT_GENCOS, ReactiveMarketEnv, action_decode, clear_market,
                     demand_profile, profit)
 
 series = demand_profile(168, seed=0)
@@ -30,9 +30,10 @@ print()
 print("Learner (producer 2) against demand-scaled rival markups:")
 env = ReactiveMarketEnv(learner=1, rival_strategy="b1", episode_steps=48)
 env.reset(0)
-for magnification in ((1.0, 1.0), (2.0, 2.0), (5.0, 5.0)):
+for action in (0, 20, 80):  # grid indices of the magnification pairs below
     env.reset(0)
-    rewards = [env.step(magnification).reward for _ in range(24)]
-    print(f"  bids at {magnification}: day-one reward sum {sum(rewards):+.4f} $")
-print("  (1, 1) is exactly zero by construction: the reward is measured "
+    rewards = [env.step(action).reward for _ in range(24)]
+    print(f"  action {action}, bids at {action_decode(action)}: "
+          f"day-one reward sum {sum(rewards):+.4f} $")
+print("  action 0, (1, 1), is exactly zero by construction: the reward is measured "
       "against a truthful-bid counterfactual of the same hour.")

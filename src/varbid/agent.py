@@ -5,7 +5,8 @@ rewards at lags 48, 24, 2 and 1 hours (padded with the truthful-neutral
 values 1.0 / 0.0 before history exists) plus a normalized next-hour
 requirement estimate from the forecaster. Actions index the 81-point grid
 of magnification pairs, each coordinate in ``market.MAGNIFICATIONS``
-(1.0, 1.5, ..., 5.0), the grid the environment's dispatch table keeps.
+(1.0, 1.5, ..., 5.0); the environment steps on the index itself, and
+``market.action_decode`` gives its pair.
 
 The Q-network's shape fixes its layout: nfq2 maps a state to one value per
 action; nfq1 maps a state with the normalized action index a / (n - 1)
@@ -28,12 +29,10 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .forecast import WINDOW
-from .market import MAGNIFICATIONS, ReactiveMarketEnv
+from .market import N_ACTIONS, ReactiveMarketEnv, action_decode
 from .nn import Adam, Mlp, NumericError, ShapeError, soft_update
 from .replay import ReplayBuffer
 
-ACTIONS_PER_AXIS = len(MAGNIFICATIONS)
-N_ACTIONS = ACTIONS_PER_AXIS ** 2
 STATE_DIM = 13
 STATE_LAGS = (48, 24, 2, 1)
 VARIANTS = ("nfq1", "nfq2")
@@ -45,13 +44,6 @@ STREAM_NET = 2
 STREAM_EPSILON = 3
 STREAM_REPLAY = 4
 STREAM_WARMUP = 5
-
-
-def action_decode(index: int) -> tuple[float, float]:
-    """Grid index -> magnification pair; the first coordinate is the major axis."""
-    if not 0 <= index < N_ACTIONS:
-        raise ValueError(f"action index must be in [0, {N_ACTIONS - 1}], got {index}")
-    return MAGNIFICATIONS[index // ACTIONS_PER_AXIS], MAGNIFICATIONS[index % ACTIONS_PER_AXIS]
 
 
 class StepRecord(NamedTuple):
@@ -193,14 +185,13 @@ class BiddingTask:
         return encode_state(self._records, 0, self._estimates[0])
 
     def step(self, action: int):
-        """Act in the env and record the step. After the last hour it follows the env:
-        the current state, reward 0.0, done and ``{"exhausted": True}``, with no record."""
-        a1, a2 = action_decode(action)
-        result = self.env.step((a1, a2))
+        """Step the env on the grid index; record its pair and reward. After the last hour it
+        follows the env: the current state, reward 0.0, done and ``{"exhausted": True}``."""
+        result = self.env.step(action)
         if "exhausted" in result.info:
             t = len(self._records)
             return encode_state(self._records, t, self._estimates[t]), 0.0, True, result.info
-        self._records.append(StepRecord(a1, a2, result.reward))
+        self._records.append(StepRecord(*action_decode(action), result.reward))
         t = len(self._records)
         state = encode_state(self._records, t, self._estimates[t])
         return state, result.reward, result.done, result.info
@@ -257,6 +248,8 @@ class TrainConfig:
             (0.0 <= self.epsilon_decay <= 1.0, "epsilon_decay must be in [0, 1]"),
             (self.steps_per_iteration >= 1, "steps_per_iteration must be >= 1"),
             (self.episodes >= 1, "episodes must be >= 1"),
+            (self.max_iterations is None or self.max_iterations >= 1,
+             "max_iterations must be None or >= 1"),
             (self.learning_rate > 0, "learning_rate must be positive"),
             (0.0 <= self.per_beta <= 1.0, "per_beta must be in [0, 1]"),
             (self.per_eps > 0.0, "per_eps must be > 0"),

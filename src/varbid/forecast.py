@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Adam, Lstm, NumericError, ShapeError
+from .nn import Adam, Lstm, NumericError, ShapeError, read_checkpoint
 
 WINDOW = 24  # hours of history per prediction
 HOLDOUT_FRAC = 0.2  # trailing share of windows kept out of training and scored
@@ -147,10 +147,9 @@ def save_forecaster(forecaster: Forecaster, path: str) -> None:
 
 
 def load_forecaster(path: str) -> Forecaster:
-    with open(path) as fh:
-        blob = json.load(fh)
-    if blob.get("kind") != "forecaster":
-        raise ValueError(f"{path} is not a forecaster checkpoint")
+    blob = read_checkpoint(path, {"forecaster": {"lo": (int, float), "hi": (int, float),
+                                                 "units": int, "input_dim": int,
+                                                 "arrays": list}})
     lstm = Lstm.zeros(blob["input_dim"], blob["units"])
     for k, (p, flat) in enumerate(zip(lstm.params(), blob["arrays"])):
         vals = np.asarray(flat, dtype=float)

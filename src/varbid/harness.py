@@ -285,6 +285,11 @@ def _run_cell(config: ExperimentConfig, fits: dict) -> ExperimentSummary:
             save_forecaster(forecaster, str(out / f"forecaster_seed{seed}.json"))
             task = BiddingTask(env, forecaster)
             result = train(task, config, seed)
+            if not result.episodes:
+                raise ConfigError(
+                    f"seed {seed}: training finished no episode; max_iterations = "
+                    f"{config.max_iterations} passes of {config.steps_per_iteration} steps "
+                    f"stop short of one {config.episode_steps}-hour episode")
 
             _write_csv(out / f"curve_seed{seed}.csv", CURVE_FIELDS,
                        [(e.episode, e.reward, e.epsilon, e.mean_abs_td, e.baseline_payment)
@@ -317,20 +322,22 @@ def _run_cell(config: ExperimentConfig, fits: dict) -> ExperimentSummary:
 def _run_grid(config: ExperimentConfig, label: str, cells: list) -> tuple[dict, dict]:
     """Run ``(name, field changes)`` cells of ``config`` in order, sharing forecaster fits.
 
-    Every cell is built, and so validated, before the first run; a bad one raises
-    ConfigError naming ``label`` and the cell. A failed run leaves its traceback, with
-    the seed it was running, in error.txt in its out_dir. Returns (summaries,
+    Every cell is built, and so validated, before the first run; a bad or repeated one
+    raises ConfigError naming ``label`` and the cell. A failed run leaves its traceback,
+    with the seed it was running, in error.txt in its out_dir. Returns (summaries,
     exceptions) by name.
     """
-    built = []
+    built = {}
     for name, changes in cells:
+        if name in built:  # it would run again into the same out_dir
+            raise ConfigError(f"{label} {name}: repeated")
         try:
-            built.append((name, dataclasses.replace(config, **changes)))
+            built[name] = dataclasses.replace(config, **changes)
         except ConfigError as exc:
             raise ConfigError(f"{label} {name}: {exc}") from exc
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     summaries, errors, fits = {}, {}, {}
-    for name, cell in built:
+    for name, cell in built.items():
         try:
             summaries[name] = _run_cell(cell, fits)
         except Exception as exc:  # a cell failure must not stop the grid

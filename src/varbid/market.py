@@ -34,8 +34,9 @@ MIN_PROFILE_STEPS = 49  # two days of history for the 48-hour state lag, plus on
 MIN_EPISODE_STEPS = MIN_PROFILE_STEPS - WINDOW  # the env's profile adds a WINDOW lead-in
 B1_NOISE = 0.05  # uniform demand-observation noise for strategy b1 rivals
 # The learner's bid magnification grid, one axis: 1.0, 1.5, ..., 5.0. A grid action
-# is a pair (a1, a2) of these, at position len(MAGNIFICATIONS) * i1 + i2.
+# is an index into the N_ACTIONS pairs (a1, a2) of these; action_decode gives its pair.
 MAGNIFICATIONS = tuple(1.0 + 0.5 * i for i in range(9))
+N_ACTIONS = len(MAGNIFICATIONS) ** 2
 
 
 class InfeasibleDemand(RuntimeError):
@@ -325,6 +326,16 @@ class EnvStep(NamedTuple):
     info: dict
 
 
+def action_decode(index: int) -> tuple[float, float]:
+    """Grid index -> magnification pair; the first coordinate is the major axis. Anything
+    but a Python or numpy int (not a bool) in [0, N_ACTIONS) raises ValueError."""
+    is_int = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
+    if not (is_int and 0 <= index < N_ACTIONS):
+        raise ValueError(f"action index must be an integer in [0, {N_ACTIONS - 1}], got {index!r}")
+    i1, i2 = divmod(index, len(MAGNIFICATIONS))
+    return MAGNIFICATIONS[i1], MAGNIFICATIONS[i2]
+
+
 @dataclass
 class ReactiveMarketEnv:
     """Episode of hourly clearings with one learning producer.
@@ -340,23 +351,22 @@ class ReactiveMarketEnv:
     the last seed that cleared are kept, so a reset with that seed again
     only rewinds the clock.
 
-    Each step takes the learner's bid magnifications (a1, a2) in [1, 5],
-    puts its bid (a1 c1, a2 c2) into the hour's rival bids, clears the
-    market once and returns the profit difference to the truthful
-    counterfactual as the reward. The batch clearing is a loop of the
-    scalar solver, so the neutral action (1, 1) earns exactly zero. The
-    step's ``info`` holds the hour's bids, per-producer totals ``qg`` and
-    nodal ``prices`` as lists of floats, in producer order.
+    Each step takes the learner's grid action index, bids (a1 c1, a2 c2)
+    with the pair (a1, a2) that ``action_decode`` gives, clears the market
+    once and returns the profit difference to the truthful counterfactual as
+    the reward. The batch clearing is a loop of the scalar solver, so action
+    0, the neutral pair (1, 1), earns exactly zero. The step's ``info`` holds
+    the hour's bids, per-producer totals ``qg`` and nodal ``prices`` as lists
+    of floats, in producer order.
 
     With the kept seed, an hour's clearing depends only on the action. So
     the first reset that rewinds the kept seed switches on a dispatch
-    table of ``episode_steps`` x 81 rows, one per hour and grid action
-    (``MAGNIFICATIONS`` squared). From then on a grid action's first
-    clearing at an hour stores its dispatch, and a repeat reads it back
-    instead of clearing again; ``info`` and the reward are built from the
-    row the same way either way, so they are the same bits. A seed's
-    first episode, fresh seeds and off-grid pairs never use the table,
-    and a reset to another seed drops it.
+    table of ``episode_steps`` x N_ACTIONS rows, one per hour and action.
+    From then on an action's first clearing at an hour stores its
+    dispatch, and a repeat reads it back instead of clearing again;
+    ``info`` and the reward are built from the row the same way either
+    way, so they are the same bits. A seed's first episode and fresh seeds
+    never use the table, and a reset to another seed drops it.
     """
 
     gencos: tuple = DEFAULT_GENCOS
@@ -375,7 +385,7 @@ class ReactiveMarketEnv:
         self._t = self.episode_steps  # unusable until reset
         self._bids_b1: list | None = None
         self._seed = None  # seed whose arrays are held
-        self._known = None  # (T, 81) flags of the dispatch table's filled rows, see above
+        self._known = None  # (T, N_ACTIONS) flags of the dispatch table's filled rows, see above
 
     @property
     def demand_values(self) -> np.ndarray:
@@ -392,7 +402,7 @@ class ReactiveMarketEnv:
         if seed != self._seed:
             self._build(seed)
         elif self._known is None:
-            shape = (self.episode_steps, len(MAGNIFICATIONS) ** 2)
+            shape = (self.episode_steps, N_ACTIONS)
             self._known = np.zeros(shape, dtype=bool)
             self._dispatch = np.empty(shape + (len(self.gencos),))
         self._t = 0
@@ -436,10 +446,8 @@ class ReactiveMarketEnv:
         self._bids_b1, self._bids_b2 = b1.tolist(), b2.tolist()
         self._seed = seed
 
-    def step(self, action: tuple[float, float]) -> EnvStep:
-        a1, a2 = float(action[0]), float(action[1])
-        if not (1.0 <= a1 <= 5.0 and 1.0 <= a2 <= 5.0):
-            raise ValueError(f"bid magnifications must lie in [1, 5], got ({a1}, {a2})")
+    def step(self, action: int) -> EnvStep:
+        a1, a2 = action_decode(action)
         if self._bids_b1 is None:
             raise RuntimeError("call reset() before step()")
         if self._t >= self.episode_steps:
@@ -451,14 +459,13 @@ class ReactiveMarketEnv:
         b1 = list(self._bids_b1[t])
         b2 = list(self._bids_b2[t])
         b1[k], b2[k] = a1 * me.c1, a2 * me.c2
-        row = self._table_row(t, a1, a2)
-        if row is not None and self._known[row]:
-            x = self._dispatch[row].tolist()
+        if self._known is not None and self._known[t, action]:
+            x = self._dispatch[t, action].tolist()
         else:
             x, _ = _solve_dispatch(b1, b2, self._qmax, demand)
-            if row is not None:
-                self._dispatch[row] = x
-                self._known[row] = True
+            if self._known is not None:
+                self._dispatch[t, action] = x
+                self._known[t, action] = True
         qg = [g.bg + xi for g, xi in zip(self.gencos, x)]
         prices = [b1i + 2.0 * b2i * xi for b1i, b2i, xi in zip(b1, b2, x)]
         p_base = self._base_profit[t]
@@ -476,17 +483,6 @@ class ReactiveMarketEnv:
             "prices": prices,
         }
         return EnvStep(profit(prices[k], qg[k], me) - p_base, self._t >= self.episode_steps, info)
-
-    def _table_row(self, t: int, a1: float, a2: float) -> tuple[int, int] | None:
-        """The dispatch table's (hour, grid position) for a grid action while the
-        table is on; None otherwise. On [1, 5], 2 (a - 1) is exact, so it is an
-        integer just at the grid points."""
-        if self._known is None:
-            return None
-        i1, i2 = 2.0 * (a1 - 1.0), 2.0 * (a2 - 1.0)
-        if i1.is_integer() and i2.is_integer():
-            return t, len(MAGNIFICATIONS) * int(i1) + int(i2)
-        return None
 
 
 def simulate_total_quantity(gencos=DEFAULT_GENCOS, demand_config: DemandConfig = DemandConfig(),

@@ -594,16 +594,38 @@ def save_network(net, path: str) -> None:
         json.dump(blob, fh)
 
 
-def load_network(path: str):
+def read_checkpoint(path: str, layouts: dict[str, dict[str, type | tuple]]) -> dict:
+    """A checkpoint's JSON object, checked against ``layouts``: its ``kind`` must be one
+    of the keys, and it must hold that kind's keys with values of the given types (a
+    bool is no int). Anything else raises ValueError naming the path and the key."""
     with open(path) as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: a checkpoint is a JSON object, got a {type(blob).__name__}")
     kind = blob.get("kind")
-    if kind == "mlp":
+    if not isinstance(kind, str) or kind not in layouts:
+        raise ValueError(f"{path}: checkpoint kind {kind!r} is not one of {sorted(layouts)}")
+    for key, expected in layouts[kind].items():
+        if key not in blob:
+            raise ValueError(f"{path}: {kind} checkpoint has no {key!r}")
+        if not isinstance(blob[key], expected) or isinstance(blob[key], bool):
+            types = expected if isinstance(expected, tuple) else (expected,)
+            names = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"{path}: {kind} checkpoint's {key!r} must be of type {names}, "
+                             f"got {type(blob[key]).__name__}")
+    return blob
+
+
+def load_network(path: str):
+    blob = read_checkpoint(path, {"mlp": {"layer_sizes": list, "arrays": list},
+                                  "lstm": {"input_dim": int, "units": int, "arrays": list}})
+    if blob["kind"] == "mlp":
         net = Mlp.zeros(blob["layer_sizes"])  # older files' ReLU/linear tags are ignored
-    elif kind == "lstm":
-        net = Lstm.zeros(blob["input_dim"], blob["units"])
     else:
-        raise ValueError(f"unknown network kind {kind!r} in {path}")
+        net = Lstm.zeros(blob["input_dim"], blob["units"])
     arrays = blob["arrays"]
     params = net.params()
     if len(arrays) != len(params):

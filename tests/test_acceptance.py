@@ -105,7 +105,7 @@ def test_criterion_4_reward_identity():
         env = ReactiveMarketEnv(rival_strategy=strategy, episode_steps=720)
         env.reset(11)
         for _ in range(720):
-            step = env.step((1.0, 1.0))
+            step = env.step(0)  # the pair (1, 1)
             if step.reward != 0.0:
                 exact = False
                 break

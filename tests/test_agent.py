@@ -5,7 +5,7 @@ import pytest
 
 from oracles import mlp_backward_reference, nfq1_rows_reference, value_iteration
 from toy_env import REWARDS, TRANSITIONS, TwoStateMdp, ZeroRewardTask
-from varbid import agent
+from varbid import agent, market
 from varbid.agent import (BiddingTask, N_ACTIONS, STATE_DIM, STREAM_EPSILON, StepRecord,
                           TrainConfig, _nfq1_rows, _q_matrix, action_decode, compute_targets,
                           encode_state, q_values, select_action, td_error, train, warmup)
@@ -36,6 +36,9 @@ class TestActionGrid:
         pairs = {action_decode(k) for k in range(N_ACTIONS)}
         assert len(pairs) == 81
         assert all(1.0 <= a <= 5.0 and 1.0 <= b <= 5.0 for a, b in pairs)
+
+    def test_one_decode_shared_with_the_market(self):
+        assert agent.action_decode is market.action_decode
 
     @pytest.mark.parametrize("index", [-1, 81, 100])
     def test_out_of_range_rejected(self, index):

@@ -231,6 +231,21 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{path}: need finite lo <= hi"):
             load_forecaster(str(path))
 
+    @pytest.mark.parametrize("blob, message", [
+        ([1, 2], "a checkpoint is a JSON object, got a list"),
+        ({"kind": "mlp", "layer_sizes": [2, 1], "arrays": []},
+         "checkpoint kind 'mlp' is not one of ['forecaster']"),
+        ({"kind": "forecaster", "lo": 0.0, "hi": 1.0, "units": 3, "arrays": []},
+         "forecaster checkpoint has no 'input_dim'"),
+        ({"kind": "forecaster", "lo": "0", "hi": 1.0, "units": 3, "input_dim": 1, "arrays": []},
+         "forecaster checkpoint's 'lo' must be of type int or float, got str"),
+    ], ids=["list", "other-kind", "no-input-dim", "str-lo"])
+    def test_malformed_checkpoint_names_the_file_and_key(self, tmp_path, blob, message):
+        path = tmp_path / "fc.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_forecaster(str(path))
+
     def test_constant_series_scale_loads(self, tmp_path):
         path = tmp_path / "fc.json"
         save_forecaster(Forecaster(lstm=Lstm.random(1, 3, seed=0), lo=0.4, hi=0.4), str(path))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +116,8 @@ class TestConfigParsing:
         ("forecaster_units", 0), ("forecaster_epochs", -1), ("forecaster_batch_size", 0),
         ("forecaster_series_steps", 10), ("forecaster_learning_rate", -1.0),
         ("peak_units", float("nan")), ("participation", -0.5), ("participation", 1.5),
-        ("daily_amplitude", float("inf")), ("noise_amplitude", -0.3)])
+        ("daily_amplitude", float("inf")), ("noise_amplitude", -0.3),
+        ("max_iterations", 0), ("max_iterations", -3)])
     def test_train_field_validation_surfaces(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}\b"):
             tiny_config(tmp_path, **{key: value})
@@ -225,6 +227,15 @@ class TestRunExperiment:
         summary = run_experiment(tiny_config(tmp_path / "one", seeds=(3,), trace=False))
         assert summary.sigma == 0.0
 
+    def test_run_that_finishes_no_episode_fails_naming_the_seed(self, tmp_path):
+        # One pass of 6 steps never reaches the end of a 36-hour episode.
+        config = tiny_config(tmp_path / "short", seeds=(3,), max_iterations=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no mean of an empty array either
+            with pytest.raises(ConfigError, match="^seed 3: training finished no episode"):
+                run_experiment(config)
+        assert not (tmp_path / "short" / "summary.csv").exists()
+
     def test_forced_neutral_bid_zero_summary(self, tmp_path):
         summary = run_experiment(tiny_config(tmp_path / "forced", seeds=(0,),
                                              forced_action_index=0, trace=False))
@@ -247,7 +258,14 @@ class TestDeterminism:
         monkeypatch.setattr(market, "_solve_dispatch", lambda *a: solves.append(1) or real(*a))
         run_experiment(tiny_config(tmp_path / "table"))
         with_table = len(solves)
-        monkeypatch.setattr(ReactiveMarketEnv, "_table_row", lambda self, t, a1, a2: None)
+        real_reset = ReactiveMarketEnv.reset
+
+        def reset_without_table(self, seed):
+            totals = real_reset(self, seed)
+            self._known = None  # so every step misses the dispatch table
+            return totals
+
+        monkeypatch.setattr(ReactiveMarketEnv, "reset", reset_without_table)
         run_experiment(tiny_config(tmp_path / "miss"))
         assert with_table < len(solves) - with_table  # the table served repeats
         names = sorted(p.name for p in (tmp_path / "table").iterdir())
@@ -302,6 +320,14 @@ class TestMatrix:
         with pytest.raises(ConfigError, match=rf"^matrix cell {cell}"):
             run_matrix(config, learners, strategies, ["nfq2"])
         assert not (tmp_path / "m5").exists()
+
+    def test_repeated_cell_rejected_before_any_directory_is_written(self, tmp_path):
+        config = tiny_config(tmp_path / "m6", seeds=(0,), trace=False, episodes=2)
+        with pytest.raises(ConfigError, match=r"^matrix cell \(2, 'b2', 'nfq2'\): repeated"):
+            run_matrix(config, [2, 1, 2], ["b2"], ["nfq2"])
+        with pytest.raises(ConfigError, match=r"^sweep gamma value 0.3: repeated"):
+            sweep(config, "gamma", [0.3, 0.05, 0.3])
+        assert not (tmp_path / "m6").exists()
 
     def test_matrix_cell_count(self, tmp_path):
         config = tiny_config(tmp_path / "m4", seeds=(0,), trace=False, episodes=2)

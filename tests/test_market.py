@@ -1,14 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import (bisect_dispatch, dispatch_objective, grid_dispatch,
                      random_dispatch_instance, rival_bids)
 from varbid import market
-from varbid.agent import action_decode
 from varbid.forecast import WINDOW
 from varbid.market import (DEFAULT_GENCOS, Bid, DemandConfig, GencoParams,
-                           InfeasibleDemand, ReactiveMarketEnv, clear_market,
-                           clear_market_batch, demand_profile, load_gencos,
+                           InfeasibleDemand, N_ACTIONS, ReactiveMarketEnv, action_decode,
+                           clear_market, clear_market_batch, demand_profile, load_gencos,
                            profit, simulate_total_quantity)
 
 
@@ -314,16 +315,16 @@ class TestEnv:
             env = ReactiveMarketEnv(rival_strategy=strategy, episode_steps=60)
             env.reset(3)
             for _ in range(60):
-                step = env.step((1.0, 1.0))
+                step = env.step(0)  # the neutral pair (1, 1)
                 assert step.reward == 0.0
 
     def test_episode_length_and_end_signal(self):
         env = ReactiveMarketEnv(episode_steps=30)
         env.reset(0)
         for k in range(30):
-            step = env.step((1.5, 1.5))
+            step = env.step(10)
             assert step.done == (k == 29)
-        extra = env.step((1.5, 1.5))
+        extra = env.step(10)
         assert extra.done
         assert extra.info == {"exhausted": True}
         assert extra.reward == 0.0
@@ -331,9 +332,9 @@ class TestEnv:
     def test_reset_restores_step_counter_and_series(self):
         env = ReactiveMarketEnv(episode_steps=40)
         first = env.reset(7)
-        env.step((2.0, 2.0))
+        env.step(20)
         again = env.reset(7)
-        steps = [env.step((2.0, 2.0)) for _ in range(40)]
+        steps = [env.step(20) for _ in range(40)]
         assert [s.info["t"] for s in steps] == list(range(40))
         assert [s.done for s in steps] == [False] * 39 + [True]
         assert np.array_equal(first, again)
@@ -342,11 +343,11 @@ class TestEnv:
     def test_demand_values_are_read_only(self):
         env = ReactiveMarketEnv(episode_steps=48)
         env.reset(3)
-        expected = env.step((2.0, 2.0))
+        expected = env.step(20)
         env.reset(3)
         with pytest.raises(ValueError, match="read-only"):
             env.demand_values[:] = 0.0
-        step = env.step((2.0, 2.0))
+        step = env.step(20)
         assert step.info["demand"] == expected.info["demand"] > 0.0
         assert step.info["d_norm"] == expected.info["d_norm"]
         assert step.reward == expected.reward
@@ -372,7 +373,7 @@ class TestEnv:
                                 episode_steps=30,
                                 demand_config=DemandConfig(peak_units=0.05, participation=1.0))
         env.reset(0)
-        step = env.step((5.0, 5.0))
+        step = env.step(80)  # the pair (5, 5)
         d = step.info["demand"]
         assert step.info["qg"][0] == pytest.approx(0.0, abs=1e-12)  # priced out
         p_base = 0.5 * (d / 2) ** 2
@@ -383,10 +384,12 @@ class TestEnv:
     def test_action_bounds_enforced(self):
         env = ReactiveMarketEnv(episode_steps=30)
         env.reset(0)
-        with pytest.raises(ValueError):
-            env.step((0.5, 1.0))
-        with pytest.raises(ValueError):
-            env.step((1.0, 5.5))
+        env.step(3)
+        for bad in (-1, 81, 2.0, True, np.float64(3), (1.0, 1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"integer in [0, 80], got {bad!r}")):
+                env.step(bad)
+            assert env._t == 1  # the hour did not advance
+        assert env.step(np.int64(3)).info["t"] == 1
 
     def test_lead_in_window_has_full_day(self):
         env = ReactiveMarketEnv(episode_steps=48)
@@ -407,7 +410,7 @@ class TestEnv:
             assert not totals.flags.writeable
             # every clearing dispatches the whole requirement on top of base generation
             for t in range(env.episode_steps):
-                qg = env.step((1.0 + 0.5 * (t % 9), 5.0 - 0.5 * (t % 9))).info["qg"]
+                qg = env.step(9 * (t % 9) + 8 - t % 9).info["qg"]
                 assert sum(qg) == pytest.approx(totals[WINDOW + t], rel=0, abs=1e-12)
 
 
@@ -415,14 +418,15 @@ def _reference_episode(gencos, learner, strategy, seed, actions, steps, lead_in=
     """Rewards and outcomes of an episode cleared the direct way.
 
     Rival bids come from rival_bids on a fresh default_rng([seed, 1]), drawn
-    hour by hour; each hour clears the submitted and the truthful bid with
-    clear_market.
+    hour by hour; each hour clears the submitted bid, from the grid action's
+    pair, and the truthful bid with clear_market.
     """
     series = demand_profile(steps + lead_in, seed)
     rng = np.random.default_rng([seed, 1])
     me = gencos[learner]
     rows = []
-    for t, (a1, a2) in enumerate(actions):
+    for t, action in enumerate(actions):
+        a1, a2 = action_decode(action)
         d_norm = float(series.normalized[lead_in + t])
         demand = float(series.values[lead_in + t])
         rivals = {j: rival_bids(strategy, g, d_norm, rng)
@@ -443,10 +447,7 @@ class TestEnvMatchesReference:
     @pytest.mark.parametrize("gencos", [DEFAULT_GENCOS, NINE_GENCOS], ids=["six", "nine"])
     def test_step_equals_two_direct_clearings(self, gencos, strategy):
         steps, seed = 168, 5
-        rng = np.random.default_rng(77)
-        grid = 1.0 + 0.5 * rng.integers(0, 9, size=(steps, 2))
-        off_grid = rng.uniform(1.0, 5.0, size=(steps, 2))
-        actions = [tuple(map(float, grid[t] if t % 2 else off_grid[t])) for t in range(steps)]
+        actions = np.random.default_rng(77).integers(0, N_ACTIONS, size=steps)  # numpy ints
         env = ReactiveMarketEnv(gencos=gencos, learner=1, rival_strategy=strategy,
                                 episode_steps=steps)
         env.reset(seed)
@@ -468,7 +469,7 @@ class TestEnvMatchesReference:
                                 episode_steps=168)
         for seed in (0, 1):
             env.reset(seed)
-            rewards = [env.step((1.0, 1.0)).reward for _ in range(168)]
+            rewards = [env.step(0).reward for _ in range(168)]
             assert rewards == [0.0] * 168
 
     def test_infeasible_series_raises_from_reset(self):
@@ -478,7 +479,7 @@ class TestEnvMatchesReference:
             env.reset(0)
         assert err.value.max_deliverable == pytest.approx(0.1)
         with pytest.raises(RuntimeError):
-            env.step((1.0, 1.0))
+            env.step(0)
         with pytest.raises(InfeasibleDemand):
             env.reset(0)
 
@@ -500,7 +501,7 @@ def _assert_same_episode(a, b):
 
 
 class TestResetKeepsLastSeed:
-    ACTIONS = [(1.0 + 0.5 * (t % 9), 5.0 - 0.5 * (t % 5)) for t in range(48)]
+    ACTIONS = [9 * (t % 9) + 8 - t % 5 for t in range(48)]
 
     @pytest.mark.parametrize("strategy", ["b1", "b2"])
     def test_returning_seed_steps_like_a_fresh_env(self, strategy):
@@ -519,7 +520,7 @@ class TestResetKeepsLastSeed:
         for _ in range(2):
             with pytest.raises(InfeasibleDemand):
                 env.reset(0)
-            assert env.step((1.0, 1.0)).info.get("exhausted")
+            assert env.step(0).info.get("exhausted")
         _assert_same_episode(_episode(env, 1, self.ACTIONS), _episode(make(), 1, self.ACTIONS))
 
 
@@ -578,16 +579,13 @@ def _count_solves(monkeypatch) -> list:
     return calls
 
 
-GRID = [(a1, a2) for a1 in market.MAGNIFICATIONS for a2 in market.MAGNIFICATIONS]
-
-
 class TestDispatchTable:
     T = 25
 
     def _grid_pass(self, env, seed):
-        """Every grid action at every hour: one episode per action, in grid order."""
+        """Every grid action at every hour: one episode per action, in index order."""
         rows = []
-        for action in GRID:
+        for action in range(N_ACTIONS):
             env.reset(seed)
             rows.extend(repr(env.step(action)) for _ in range(self.T))
         return rows
@@ -600,7 +598,7 @@ class TestDispatchTable:
                                          episode_steps=self.T)
         # Reference: a fresh env for every episode, so no step can read a table.
         fresh = []
-        for action in GRID:
+        for action in range(N_ACTIONS):
             env = make()
             env.reset(seed)
             fresh.extend(repr(env.step(action)) for _ in range(self.T))
@@ -608,37 +606,22 @@ class TestDispatchTable:
         env.reset(seed)
         solves = _count_solves(monkeypatch)
         first = self._grid_pass(env, seed)
-        assert len(solves) == len(GRID) * self.T  # the first pass fills the table
+        assert len(solves) == N_ACTIONS * self.T  # the first pass fills the table
         assert env._known.all()
         second = self._grid_pass(env, seed)
-        assert len(solves) == len(GRID) * self.T  # the second pass only reads it
+        assert len(solves) == N_ACTIONS * self.T  # the second pass only reads it
         # repr shows every float's exact value and type, and tells -0.0 from 0.0
         assert first == fresh and second == fresh
 
-    def test_grid_positions_follow_the_agent_action_index(self):
-        env = ReactiveMarketEnv(episode_steps=self.T)
-        env.reset(0)
-        env.reset(0)
-        positions = [env._table_row(3, *action_decode(j)) for j in range(81)]
-        assert positions == [(3, j) for j in range(81)]
-        for pair in [(1.25, 4.75), (1.0, 1.0000000000000002), (4.999999999999999, 5.0)]:
-            assert env._table_row(3, *pair) is None
-
-    def test_first_visit_and_off_grid_pairs_never_touch_the_table(self, monkeypatch):
-        off_grid = [(1.25, 4.75), (2.0, 4.75), (1.25, 2.0)]
-        actions = [off_grid[t % 3] for t in range(self.T)]
+    def test_first_visit_never_touches_the_table(self, monkeypatch):
         env = ReactiveMarketEnv(episode_steps=self.T)
         solves = _count_solves(monkeypatch)
         env.reset(0)
         for _ in range(self.T):
-            env.step((2.0, 3.5))
+            env.step(23)  # the pair (2.0, 3.5)
         assert env._known is None  # a seed's first episode keeps nothing
-        episodes = [[repr(s) for s in _episode(env, 0, actions)[1]] for _ in range(2)]
-        assert env._known is not None and not env._known.any()
         # the build's truthful batch, then one clearing for every step
-        assert len(solves) == 4 * self.T
-        fresh = _episode(ReactiveMarketEnv(episode_steps=self.T), 0, actions)[1]
-        assert episodes[0] == episodes[1] == [repr(s) for s in fresh]
+        assert len(solves) == 2 * self.T
 
     def test_rebuild_drops_the_table_and_its_shape_stays_fixed(self):
         env = ReactiveMarketEnv(gencos=NINE_GENCOS, episode_steps=self.T)
@@ -647,7 +630,7 @@ class TestDispatchTable:
             assert env._known is None and env._dispatch is None
             env.reset(seed)
             for t in range(self.T):
-                env.step(GRID[(seed + t) % 81])
+                env.step((seed + t) % N_ACTIONS)
             assert env._known.shape == (self.T, 81)
             assert env._dispatch.shape == (self.T, 81, 9)
             assert env._known.sum() == self.T

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -880,6 +881,23 @@ class TestSerialization:
         path.write_text(json.dumps(blob))
         assert bad in path.read_text()
         with pytest.raises(ValueError, match=f"{path}: non-finite"):
+            load_network(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "a checkpoint is a JSON object, got a list"),
+        ("{not json", "not a JSON checkpoint"),
+        ('{"kind": "rnn", "arrays": []}', "checkpoint kind 'rnn' is not one of"),
+        ('{"kind": "mlp", "arrays": []}', "mlp checkpoint has no 'layer_sizes'"),
+        ('{"kind": "mlp", "layer_sizes": 5, "arrays": []}',
+         "mlp checkpoint's 'layer_sizes' must be of type list, got int"),
+        ('{"kind": "lstm", "input_dim": 1, "units": true, "arrays": []}',
+         "lstm checkpoint's 'units' must be of type int, got bool"),
+    ], ids=["list", "not-json", "unknown-kind", "no-layer-sizes", "int-layer-sizes",
+            "bool-units"])
+    def test_malformed_checkpoint_names_the_file_and_key(self, tmp_path, text, message):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_network(str(path))
 
     def test_header_is_inspectable_json(self, tmp_path):
