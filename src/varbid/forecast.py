@@ -11,12 +11,12 @@ predictor, the mean of the values one hour and one day back, is the bar.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Adam, Lstm, NumericError, ShapeError, read_checkpoint
+from .nn import (CHECKPOINT_LAYOUTS, Adam, Lstm, NumericError, ShapeError, network_from,
+                 read_checkpoint, write_checkpoint)
 
 WINDOW = 24  # hours of history per prediction
 HOLDOUT_FRAC = 0.2  # trailing share of windows kept out of training and scored
@@ -134,32 +134,16 @@ def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def save_forecaster(forecaster: Forecaster, path: str) -> None:
-    blob = {
-        "kind": "forecaster",
-        "lo": forecaster.lo,
-        "hi": forecaster.hi,
-        "units": forecaster.lstm.units,
-        "input_dim": forecaster.lstm.input_dim,
-        "arrays": [p.reshape(-1).tolist() for p in forecaster.lstm.params()],
-    }
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    lstm = forecaster.lstm
+    write_checkpoint(path, {"kind": "forecaster", "lo": forecaster.lo, "hi": forecaster.hi,
+                            "units": lstm.units, "input_dim": lstm.input_dim}, lstm)
 
 
 def load_forecaster(path: str) -> Forecaster:
     blob = read_checkpoint(path, {"forecaster": {"lo": (int, float), "hi": (int, float),
-                                                 "units": int, "input_dim": int,
-                                                 "arrays": list}})
-    lstm = Lstm.zeros(blob["input_dim"], blob["units"])
-    for k, (p, flat) in enumerate(zip(lstm.params(), blob["arrays"])):
-        vals = np.asarray(flat, dtype=float)
-        if vals.size != p.size:
-            raise ShapeError(
-                f"{path}: array {k} has {vals.size} values, expected {p.size} for shape "
-                f"{p.shape}; the LSTM layout is [w (4u, in + u), b (4u), w_out (u), b_out (1)]")
-        p[...] = vals.reshape(p.shape)
-    if not np.all(np.isfinite(lstm.theta)):
-        raise ValueError(f"{path}: non-finite parameter value")
+                                                 **CHECKPOINT_LAYOUTS["lstm"]}})
+    # A short array list still loads, zero-filled: perfbench/selftest.py needs it (ROADMAP item 8).
+    lstm = network_from(blob, path, "lstm")
     lo, hi = blob["lo"], blob["hi"]
     if not (np.all(np.isfinite([lo, hi])) and lo <= hi):
         raise ValueError(f"{path}: need finite lo <= hi, got lo={lo!r}, hi={hi!r}")

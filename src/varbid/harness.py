@@ -78,11 +78,11 @@ class ExperimentConfig(TrainConfig):
     forecaster_learning_rate: float = 5e-3
     forecaster_series_steps: int = 720
 
-    peak_units: float = 1.072
-    participation: float = 0.6
-    daily_amplitude: float = 0.45
-    weekly_amplitude: float = 0.15
-    noise_amplitude: float = 0.05
+    peak_units: float = DemandConfig.peak_units
+    participation: float = DemandConfig.participation
+    daily_amplitude: float = DemandConfig.daily_amplitude
+    weekly_amplitude: float = DemandConfig.weekly_amplitude
+    noise_amplitude: float = DemandConfig.noise_amplitude
 
     def validate(self) -> None:
         checks = [
@@ -134,10 +134,8 @@ class ExperimentConfig(TrainConfig):
         raise ConfigError(f"learner_id: {self.learner_id} not in producer table")
 
     def demand_config(self) -> DemandConfig:
-        return DemandConfig(peak_units=self.peak_units, participation=self.participation,
-                            daily_amplitude=self.daily_amplitude,
-                            weekly_amplitude=self.weekly_amplitude,
-                            noise_amplitude=self.noise_amplitude)
+        return DemandConfig(**{f.name: getattr(self, f.name)
+                               for f in dataclasses.fields(DemandConfig)})
 
 
 # Each field's text parser follows from its annotation: "X" or "X | None".
@@ -161,8 +159,8 @@ def parse_field(key: str, text: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment. Unknown keys fail."""
-    values = {}
+    """Read ``key = value`` lines; '#' starts a comment. Unknown or repeated keys fail."""
+    values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -171,6 +169,9 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, text = (part.strip() for part in line.split("=", 1))
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {lines[key]}")
+            lines[key] = lineno
             try:
                 values[key] = parse_field(key, text)
             except ConfigError as exc:

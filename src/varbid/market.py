@@ -88,12 +88,19 @@ def load_gencos(path: str) -> list[GencoParams]:
     """Read a producer table CSV with columns id, c1, c2, bg, q_max."""
     with open(path, newline="") as fh:
         rows = csv.DictReader(fh, restval="")  # a short row reads as empty fields
-        missing = [c for c in ("id", "c1", "c2", "bg", "q_max")
-                   if c not in (rows.fieldnames or ())]
+        columns = ("id", "c1", "c2", "bg", "q_max")
+        missing = [c for c in columns if c not in (rows.fieldnames or ())]
         if missing:
             raise ValueError(f"missing columns {', '.join(missing)} in {path}")
-        gencos = [GencoParams(int(r["id"]), float(r["c1"]), float(r["c2"]), float(r["bg"]),
-                              float(r["q_max"])) for r in rows]
+        gencos = []
+        for r in rows:
+            values = []
+            for col in columns:
+                try:
+                    values.append(int(r[col]) if col == "id" else float(r[col]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{rows.line_num}: column {col!r}: {exc}") from None
+            gencos.append(GencoParams(*values))
     if not gencos:
         raise ValueError(f"no producer rows in {path}")
     ids = [g.id for g in gencos]

@@ -99,6 +99,8 @@ class Mlp:
     W1, b1, W2, b2, ... back to back; the arrays given are copied into it.
     """
 
+    LAYOUT = "[W1 (n1, n0), b1 (n1), W2 (n2, n1), b2 (n2), ...] for layer_sizes [n0, n1, n2, ...]"
+
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         if not weights or len(weights) != len(biases):
             raise ShapeError("need one (weight, bias) pair per layer")
@@ -305,13 +307,15 @@ class Lstm:
     step writes over the last in one slot per array.
     """
 
+    LAYOUT = "[w (4u, in + u), b (4u), w_out (u), b_out (1)]"
+
     def __init__(self, w: np.ndarray, b: np.ndarray, w_out: np.ndarray, b_out: np.ndarray):
         u = w_out.shape[0] if w_out.ndim == 1 else 0
         if (u < 1 or w.ndim != 2 or w.shape[0] != 4 * u or w.shape[1] <= u
                 or b.shape != (4 * u,) or b_out.shape != (1,)):
             raise ShapeError(
                 f"w {w.shape}, b {b.shape}, w_out {w_out.shape}, b_out "
-                f"{b_out.shape} do not fit [w (4u, in + u), b (4u), w_out (u), b_out (1)]")
+                f"{b_out.shape} do not fit {self.LAYOUT}")
         self.w, self.b, self.w_out, self.b_out = _pack(self, [w, b, w_out, b_out])
         self._train_buf: np.ndarray | None = None  # training step buffers, see above
 
@@ -581,17 +585,27 @@ def grad_check(net, inputs: np.ndarray, epsilon: float = 1e-5,
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+# Each kind's header keys and JSON types, in file order (others, such as older mlp files'
+# activation tags, are ignored); "arrays" lists the params() arrays, flattened row-major.
+CHECKPOINT_LAYOUTS = {"mlp": {"layer_sizes": list, "arrays": list},
+                      "lstm": {"input_dim": int, "units": int, "arrays": list}}
+
+
+def write_checkpoint(path: str, header: dict, net) -> None:
+    """Write ``header`` and then ``net``'s parameter arrays as one JSON object."""
+    with open(path, "w") as fh:
+        json.dump({**header, "arrays": [p.reshape(-1).tolist() for p in net.params()]}, fh)
+
+
 def save_network(net, path: str) -> None:
     """Write a network as JSON: shape header plus row-major parameter arrays."""
     if isinstance(net, Mlp):
-        blob = {"kind": "mlp", "layer_sizes": net.layer_sizes}
+        header = {"kind": "mlp", "layer_sizes": net.layer_sizes}
     elif isinstance(net, Lstm):
-        blob = {"kind": "lstm", "input_dim": net.input_dim, "units": net.units}
+        header = {"kind": "lstm", "input_dim": net.input_dim, "units": net.units}
     else:
         raise TypeError(f"cannot serialize {type(net).__name__}")
-    blob["arrays"] = [p.reshape(-1).tolist() for p in net.params()]
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    write_checkpoint(path, header, net)
 
 
 def read_checkpoint(path: str, layouts: dict[str, dict[str, type | tuple]]) -> dict:
@@ -619,22 +633,36 @@ def read_checkpoint(path: str, layouts: dict[str, dict[str, type | tuple]]) -> d
     return blob
 
 
-def load_network(path: str):
-    blob = read_checkpoint(path, {"mlp": {"layer_sizes": list, "arrays": list},
-                                  "lstm": {"input_dim": int, "units": int, "arrays": list}})
-    if blob["kind"] == "mlp":
-        net = Mlp.zeros(blob["layer_sizes"])  # older files' ReLU/linear tags are ignored
-    else:
-        net = Lstm.zeros(blob["input_dim"], blob["units"])
-    arrays = blob["arrays"]
-    params = net.params()
-    if len(arrays) != len(params):
-        raise ShapeError(f"checkpoint has {len(arrays)} arrays, expected {len(params)}")
-    for p, flat in zip(params, arrays):
-        vals = np.asarray(flat, dtype=float)
-        if vals.size != p.size:
-            raise ShapeError(f"array size {vals.size} != expected {p.size}")
-        p[...] = vals.reshape(p.shape)
+def network_from(blob: dict, path: str, kind: str):
+    """The ``kind`` network ("mlp" or "lstm") of a ``read_checkpoint`` blob, arrays missing
+    at the end left zero. Bad sizes or arrays raise ValueError naming the path."""
+    sizes = blob["layer_sizes"] if kind == "mlp" else [blob["input_dim"], blob["units"]]
+    if len(sizes) < 2 or not all(type(s) is int and s >= 1 for s in sizes):
+        keys = ("'layer_sizes' must be two or more" if kind == "mlp"
+                else "'input_dim' and 'units' must be")
+        raise ShapeError(f"{path}: {blob['kind']} checkpoint's {keys} ints >= 1, got {sizes}")
+    net = Mlp.zeros(sizes) if kind == "mlp" else Lstm.zeros(*sizes)
+    params, arrays = net.params(), blob["arrays"]
+    for k, (p, flat) in enumerate(zip(params, arrays)):
+        if not (isinstance(flat, list) and all(type(v) in (int, float) for v in flat)):
+            raise ValueError(f"{path}: array {k} must be a flat list of numbers")
+        if len(flat) != p.size:
+            raise ShapeError(f"{path}: array {k} has {len(flat)} values, expected {p.size} for "
+                             f"shape {p.shape}; the {kind} layout is {net.LAYOUT}")
+        p[...] = np.reshape(flat, p.shape)
+    if len(arrays) > len(params):
+        raise ShapeError(f"{path}: {len(arrays)} arrays, the {kind} layout has {len(params)}: "
+                         f"{net.LAYOUT}")
     if not np.all(np.isfinite(net.theta)):
         raise ValueError(f"{path}: non-finite parameter value")
+    return net
+
+
+def load_network(path: str):
+    """The network a ``save_network`` file holds; a malformed one raises ValueError naming it."""
+    blob = read_checkpoint(path, CHECKPOINT_LAYOUTS)
+    net = network_from(blob, path, blob["kind"])
+    if len(blob["arrays"]) < len(net.params()):
+        raise ShapeError(f"{path}: {len(blob['arrays'])} arrays, the {blob['kind']} layout has "
+                         f"{len(net.params())}: {net.LAYOUT}")
     return net

@@ -239,7 +239,14 @@ class TestPersistence:
          "forecaster checkpoint has no 'input_dim'"),
         ({"kind": "forecaster", "lo": "0", "hi": 1.0, "units": 3, "input_dim": 1, "arrays": []},
          "forecaster checkpoint's 'lo' must be of type int or float, got str"),
-    ], ids=["list", "other-kind", "no-input-dim", "str-lo"])
+        ({"kind": "forecaster", "lo": 0.0, "hi": 1.0, "units": -2, "input_dim": 1, "arrays": []},
+         "forecaster checkpoint's 'input_dim' and 'units' must be ints >= 1, got [1, -2]"),
+        ({"kind": "forecaster", "lo": 0.0, "hi": 1.0, "units": 0, "input_dim": 1, "arrays": []},
+         "forecaster checkpoint's 'input_dim' and 'units' must be ints >= 1, got [1, 0]"),
+        ({"kind": "forecaster", "lo": 0.0, "hi": 1.0, "units": 3, "input_dim": 0, "arrays": []},
+         "forecaster checkpoint's 'input_dim' and 'units' must be ints >= 1, got [0, 3]"),
+    ], ids=["list", "other-kind", "no-input-dim", "str-lo", "negative-units", "zero-units",
+            "zero-input-dim"])
     def test_malformed_checkpoint_names_the_file_and_key(self, tmp_path, blob, message):
         path = tmp_path / "fc.json"
         path.write_text(json.dumps(blob))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 import warnings
 from pathlib import Path
 
@@ -100,6 +101,21 @@ class TestConfigParsing:
         cfg_file.write_text("gamma = fast\n")
         with pytest.raises(ConfigError, match="gamma"):
             parse_config_file(str(cfg_file))
+
+    def test_repeated_key_names_file_key_and_both_lines(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("gamma = 0.3\nepisodes = 5\n# later\ngamma = 0.9\n")
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(cfg_file))}:4: 'gamma' is already set on line 1$"):
+            parse_config_file(str(cfg_file))
+
+    def test_demand_fields_default_to_demand_config(self):
+        config = ExperimentConfig()
+        assert config.demand_config() == market.DemandConfig()
+        for f in dataclasses.fields(market.DemandConfig):
+            assert getattr(config, f.name) == f.default
+            changed = dataclasses.replace(config, **{f.name: 0.5 * f.default})
+            assert getattr(changed.demand_config(), f.name) == 0.5 * f.default
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="seeds"):

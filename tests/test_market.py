@@ -548,6 +548,17 @@ class TestGencoTable:
         with pytest.raises(ValueError, match=message):
             load_gencos(str(path))
 
+    @pytest.mark.parametrize("row, column, message", [
+        ("1,0.73,abc,0.075,0.5", "c2", "could not convert string to float: 'abc'"),
+        ("1.5,0.73,0.30,0.075,0.5", "id", "invalid literal for int()"),
+    ], ids=["text-cost", "fractional-id"])
+    def test_bad_cell_names_file_row_and_column(self, tmp_path, row, column, message):
+        path = tmp_path / "gencos.csv"
+        path.write_text(f"id,c1,c2,bg,q_max\n2,0.68,0.39,0.03,0.5\n{row}\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{path}:3: column {column!r}: {message}')}"):
+            load_gencos(str(path))
+
     def test_invalid_costs_rejected(self):
         with pytest.raises(ValueError):
             GencoParams(1, 0.0, 0.3, 0.1, 0.5)

@@ -8,6 +8,7 @@ import pytest
 from oracles import (AdamReference, lstm_backward_reference, lstm_forward_cache_reference,
                      lstm_hidden_reference, mlp_backward_reference, sigmoid_reference,
                      soft_update_reference)
+from varbid.forecast import Forecaster, load_forecaster, save_forecaster
 from varbid.nn import (_BLOCK_ROWS, _STREAM_ROWS, Adam, Lstm, Mlp, NumericError, ShapeError,
                        _sigmoid, _views, grad_check, load_network, save_network, soft_update)
 
@@ -892,8 +893,23 @@ class TestSerialization:
          "mlp checkpoint's 'layer_sizes' must be of type list, got int"),
         ('{"kind": "lstm", "input_dim": 1, "units": true, "arrays": []}',
          "lstm checkpoint's 'units' must be of type int, got bool"),
+        ('{"kind": "mlp", "layer_sizes": ["a", 4, 2], "arrays": []}',
+         "mlp checkpoint's 'layer_sizes' must be two or more ints >= 1, got ['a', 4, 2]"),
+        ('{"kind": "mlp", "layer_sizes": [3.0, 4, 2], "arrays": []}',
+         "mlp checkpoint's 'layer_sizes' must be two or more ints >= 1, got [3.0, 4, 2]"),
+        ('{"kind": "mlp", "layer_sizes": [3, true, 2], "arrays": []}',
+         "mlp checkpoint's 'layer_sizes' must be two or more ints >= 1, got [3, True, 2]"),
+        ('{"kind": "mlp", "layer_sizes": [3], "arrays": []}',
+         "mlp checkpoint's 'layer_sizes' must be two or more ints >= 1, got [3]"),
+        ('{"kind": "lstm", "input_dim": 1, "units": -2, "arrays": []}',
+         "lstm checkpoint's 'input_dim' and 'units' must be ints >= 1, got [1, -2]"),
+        ('{"kind": "lstm", "input_dim": 1, "units": 0, "arrays": []}',
+         "lstm checkpoint's 'input_dim' and 'units' must be ints >= 1, got [1, 0]"),
+        ('{"kind": "lstm", "input_dim": 0, "units": 3, "arrays": []}',
+         "lstm checkpoint's 'input_dim' and 'units' must be ints >= 1, got [0, 3]"),
     ], ids=["list", "not-json", "unknown-kind", "no-layer-sizes", "int-layer-sizes",
-            "bool-units"])
+            "bool-units", "text-layer-size", "float-layer-size", "bool-layer-size",
+            "one-layer-size", "negative-units", "zero-units", "zero-input-dim"])
     def test_malformed_checkpoint_names_the_file_and_key(self, tmp_path, text, message):
         path = tmp_path / "net.json"
         path.write_text(text)
@@ -919,3 +935,113 @@ class TestSerialization:
         path.write_text(json.dumps(blob))
         x = np.random.default_rng(0).normal(size=(7, 4))
         assert np.array_equal(load_network(str(path)).forward(x), net.forward(x))
+
+
+# One checkpoint per kind in the current file format, byte for byte as the savers write it.
+LSTM_ARRAYS = ('[[0.5, -0.25, 0.25, 0.125, -0.5, 0.75, 1.0, -1.0], [0.1, -0.2, 0.3, 0.0], '
+               '[2.0], [-0.5]]')
+FORMAT_LITERALS = {
+    "mlp": '{"kind": "mlp", "layer_sizes": [2, 1], "arrays": [[0.5, -0.25], [0.1]]}',
+    "lstm": '{"kind": "lstm", "input_dim": 1, "units": 1, "arrays": ' + LSTM_ARRAYS + '}',
+    "forecaster": ('{"kind": "forecaster", "lo": 0.25, "hi": 1.5, "units": 1, "input_dim": 1, '
+                   '"arrays": ' + LSTM_ARRAYS + '}'),
+}
+CODECS = {"mlp": (save_network, load_network), "lstm": (save_network, load_network),
+          "forecaster": (save_forecaster, load_forecaster)}
+
+
+def hand_lstm_prediction(seq) -> float:
+    """LSTM_ARRAYS' prediction, step by step: gate rows f, i, o, g; columns [x, h]."""
+    w = [[0.5, -0.25], [0.25, 0.125], [-0.5, 0.75], [1.0, -1.0]]
+    b = [0.1, -0.2, 0.3, 0.0]
+    h = c = 0.0
+    for x in seq:
+        z = [w[k][0] * x + w[k][1] * h + b[k] for k in range(4)]
+        f, i, o = (1.0 / (1.0 + np.exp(-v)) for v in z[:3])
+        c = f * c + i * np.tanh(z[3])
+        h = o * np.tanh(c)
+    return 2.0 * h - 0.5
+
+
+class TestCheckpointFormat:
+    @pytest.mark.parametrize("kind", sorted(FORMAT_LITERALS))
+    def test_literal_loads_and_saves_back_byte_identical(self, tmp_path, kind):
+        save, load = CODECS[kind]
+        path, again = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(FORMAT_LITERALS[kind])
+        loaded = load(str(path))
+        save(loaded, str(again))
+        assert again.read_text() == FORMAT_LITERALS[kind]
+        if kind == "mlp":
+            assert loaded.forward(np.array([[1.0, 2.0]]))[0, 0] == 0.5 - 0.5 + 0.1
+        else:
+            lstm = loaded.lstm if kind == "forecaster" else loaded
+            seq = [0.3, -0.7, 1.1]
+            assert lstm.forward_batch(np.array([seq]))[0] == pytest.approx(
+                hand_lstm_prediction(seq), rel=1e-12)
+        if kind == "forecaster":
+            assert (loaded.lo, loaded.hi) == (0.25, 1.5)
+
+
+class TestCheckpointContents:
+    """Both loaders reject a malformed array list with a message that starts with the file."""
+
+    # Each edit of array list ``a`` and the start of the message it must raise; ``n`` is the
+    # size of the net's second array (``m`` one less, ``p`` one more), and every net here
+    # has four arrays.
+    BAD_ARRAYS = {
+        "text-value": (lambda a: a[1].__setitem__(0, "x"),
+                       "array 1 must be a flat list of numbers"),
+        "ragged": (lambda a: a[1].__setitem__(0, [0.0, 1.0]),
+                   "array 1 must be a flat list of numbers"),
+        "nested": (lambda a: a.__setitem__(1, [a[1]]), "array 1 must be a flat list of numbers"),
+        "bare-number": (lambda a: a.__setitem__(1, 0.5), "array 1 must be a flat list of numbers"),
+        "bool-value": (lambda a: a[1].__setitem__(0, True),
+                       "array 1 must be a flat list of numbers"),
+        "short-array": (lambda a: a[1].pop(), "array 1 has {m} values, expected {n} for shape"),
+        "long-array": (lambda a: a[1].append(0.0),
+                       "array 1 has {p} values, expected {n} for shape"),
+        "fifth-array": (lambda a: a.append([0.0]), "5 arrays, the {kind} layout has 4"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(BAD_ARRAYS))
+    @pytest.mark.parametrize("kind", ["mlp", "lstm", "forecaster"])
+    def test_bad_arrays(self, tmp_path, kind, edit):
+        save, load = CODECS[kind]
+        net = Mlp.random([3, 4, 2], seed=0) if kind == "mlp" else Lstm.random(1, 3, seed=0)
+        path = tmp_path / "net.json"
+        save(Forecaster(lstm=net, lo=0.0, hi=1.0) if kind == "forecaster" else net, str(path))
+        blob = json.loads(path.read_text())
+        change, message = self.BAD_ARRAYS[edit]
+        change(blob["arrays"])
+        path.write_text(json.dumps(blob))
+        n = net.params()[1].size
+        message = message.format(m=n - 1, n=n, p=n + 1, kind="mlp" if kind == "mlp" else "lstm")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load(str(path))
+
+    @pytest.mark.parametrize("net", [Mlp.random([3, 4, 2], seed=0), Lstm.random(1, 3, seed=0)],
+                             ids=["mlp", "lstm"])
+    def test_load_network_rejects_a_short_array_list(self, tmp_path, net):
+        path = tmp_path / "net.json"
+        save_network(net, str(path))
+        blob = json.loads(path.read_text())
+        del blob["arrays"][-1]
+        path.write_text(json.dumps(blob))
+        message = f"{path}: 3 arrays, the {blob['kind']} layout has 4"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}"):
+            load_network(str(path))
+
+    def test_forecaster_short_array_list_loads_zero_filled(self, tmp_path):
+        # The one gap left open: the benchmark's self-test loads such a file and then
+        # expects its predictions to differ.
+        fc = Forecaster(lstm=Lstm.random(1, 3, seed=0), lo=0.0, hi=1.0)
+        path = tmp_path / "fc.json"
+        save_forecaster(fc, str(path))
+        blob = json.loads(path.read_text())
+        del blob["arrays"][-2:]
+        path.write_text(json.dumps(blob))
+        loaded = load_forecaster(str(path))
+        assert np.array_equal(loaded.lstm.theta[:fc.lstm.w.size + fc.lstm.b.size],
+                              fc.lstm.theta[:fc.lstm.w.size + fc.lstm.b.size])
+        assert not loaded.lstm.w_out.any() and not loaded.lstm.b_out.any()
