@@ -116,17 +116,24 @@ def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
         order = rng.permutation(split)
         for start in range(0, split, batch_size):
             sel = order[start:start + batch_size]
-            preds, cache = lstm._forward_batch_cache(x[sel][:, :, None])
-            err = preds - y[sel]
-            if not np.all(np.isfinite(err)):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
-            grads = lstm._backward_from_cache(cache, 2.0 * err / len(sel))
-            opt.step(lstm, grads)
-    lstm._train_buf = None  # the step buffers go before the final pass and stay out of the result
+            _fit_batch(lstm, opt, x[sel], y[sel], epoch)
+    # No batch's cache outlives _fit_batch, so this frees the step buffer before the
+    # final pass, and the result holds none.
+    lstm._train_buf = None
     final_mse = float(np.mean((lstm.forward_batch(x) - y) ** 2))
     if not np.isfinite(final_mse):
         raise NumericError(f"non-finite loss at epoch {epochs - 1}")
     return forecaster, final_mse
+
+
+def _fit_batch(lstm: Lstm, opt: Adam, x: np.ndarray, y: np.ndarray, epoch: int) -> None:
+    """One Adam step on the squared error of the windows ``x`` against ``y``. The
+    predictions, the cache (views of the step buffer) and the gradient end with the call."""
+    preds, cache = lstm._forward_batch_cache(x[:, :, None])
+    err = preds - y
+    if not np.all(np.isfinite(err)):
+        raise NumericError(f"non-finite loss at epoch {epoch}")
+    opt.step(lstm, lstm._backward_from_cache(cache, 2.0 * err / len(y)))
 
 
 # ---------------------------------------------------------------------------

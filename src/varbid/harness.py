@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,12 +55,17 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
+_FIT_DEFAULTS = inspect.signature(train_forecaster).parameters
+
+
 @dataclass
 class ExperimentConfig(TrainConfig):
     """One experiment: a (learner, rival strategy, network variant) cell.
 
     The learner settings, their defaults and their checks come from
-    TrainConfig; construction validates, and a bad field raises ConfigError.
+    TrainConfig; the ``forecaster_*`` defaults are ``train_forecaster``'s and
+    the demand defaults ``DemandConfig``'s. Construction validates, and a bad
+    field raises ConfigError.
     """
 
     episodes: int = 300
@@ -72,10 +78,10 @@ class ExperimentConfig(TrainConfig):
     trace: bool = True
     convergence_window: float = 0.1
 
-    forecaster_units: int = 32
-    forecaster_epochs: int = 50
-    forecaster_batch_size: int = 32
-    forecaster_learning_rate: float = 5e-3
+    forecaster_units: int = _FIT_DEFAULTS["units"].default
+    forecaster_epochs: int = _FIT_DEFAULTS["epochs"].default
+    forecaster_batch_size: int = _FIT_DEFAULTS["batch_size"].default
+    forecaster_learning_rate: float = _FIT_DEFAULTS["learning_rate"].default
     forecaster_series_steps: int = 720
 
     peak_units: float = DemandConfig.peak_units

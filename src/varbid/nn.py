@@ -18,6 +18,10 @@ for backward; a training batch of more than ``_STREAM_ROWS`` rows gets
 layer arrays of its own, dropped after its backward pass. Bias and ReLU
 passes over ``_BLOCK_ROWS`` rows or more run on blocks viewed as long rows,
 at vector speed and bit-identical.
+``Lstm`` inference keeps no steps, and ``forward_batch`` streams a batch of
+more than ``_LSTM_ROWS`` rows through the recurrence block by block, so its
+step arrays stay the size of one block. Both networks split a long batch
+into the near-equal blocks of ``_row_blocks``, which keep every row's bits.
 """
 
 from __future__ import annotations
@@ -58,6 +62,23 @@ _BLOCK_ROWS = 128
 # 1.96-2.23 ms at 512, 2.70-3.03 ms at 256 and 3.15-3.70 ms at 128, all with the one
 # pass's bits. At 1,024 rows two 64-wide layers take 1 MB of a core's 2 MB L2.
 _STREAM_ROWS = 1024
+
+# Lstm.forward_batch runs a batch of more than _LSTM_ROWS rows in blocks, so an inference
+# pass's step arrays (about 5.5 kB a row at 32 units) stay the size of one block. On a
+# 2-vCPU Intel Xeon VM (numpy 2.4.6, OpenBLAS, 2 threads) a fit's final pass (557 rows,
+# 24 steps, 32 units; timeit, best of 15) took 15.2-15.4 ms at limits of 128 to 512 rows
+# and unblocked, all with the same bits; its traced peak was 3.27 MB unblocked, 1.71 MB at
+# 512, 1.22 MB at 256 and 0.77 MB at 128. From 256 on, a bidding episode's 139 or 169
+# predictions stay one block.
+_LSTM_ROWS = 256
+
+
+def _row_blocks(rows: int, limit: int) -> list[slice]:
+    """Slices that cover ``rows`` rows in the fewest blocks of at most ``limit`` rows, of
+    near-equal size rounded up to 8 rows: a short tail block would run through other BLAS
+    kernels (one row is a gemv) and so change the last bits of its rows."""
+    step = 8 * -(-rows // (8 * -(-rows // limit)))
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -172,18 +193,15 @@ class Mlp:
         """Evaluate the network on a single vector or a (batch, in) array; returns a new array.
 
         A batch of more than ``_STREAM_ROWS`` rows runs through the hidden-layer buffers
-        in the fewest blocks that fit, of near-equal size rounded up to 8 rows: a short
-        tail block would run through other BLAS kernels (one row is a gemv) and so change
-        the last bits of its rows."""
+        in the blocks of ``_row_blocks``."""
         x, a = self._batch(x)
         rows = len(a)
         if rows <= _STREAM_ROWS:
             out = self._forward_into(a, self._work)[0]
         else:
             out = np.empty((rows, self.out_dim))
-            step = 8 * -(-rows // (8 * -(-rows // _STREAM_ROWS)))
-            for start in range(0, rows, step):
-                self._forward_into(a[start:start + step], self._work, out[start:start + step])
+            for block in _row_blocks(rows, _STREAM_ROWS):
+                self._forward_into(a[block], self._work, out[block])
         return out[0] if x.ndim == 1 else out
 
     def _forward_cache(self, x: np.ndarray):
@@ -292,19 +310,22 @@ class Lstm:
     A training forward on n sequences of T steps keeps what BPTT reads in
     one flat buffer per network, grown to the largest batch it has seen; a
     smaller batch views a prefix. In order, as C-contiguous arrays:
-        dz    (T, n, 4u)      BPTT's pre-activation gradients, columns as in ``w``
+        dz    (T, n, 4u)      BPTT's pre-activation gradients, columns as in ``w``;
+                              until step t's gradients overwrite them, dz[t]
+                              holds that step's 1 - s for f, i, o and 1 - g^2,
+                              laid out like acts[t]
         xh    (T, n, in + u)  [x_t, h_{t-1}], the weight gradient's other operand
         acts  (T, 4, n, u)    gates f, i, o, g, gate by gate
         cs    (T + 1, n, u)   c_{t-1} at index t, zero at index 0
         tcs   (T, n, u)       tanh(c_t)
-        d_s   (T, 3, n, u)    1 - s for f, i, o
-        d_g   (T, n, u)       1 - g^2
         d_tc  (T, n, u)       1 - tanh(c_t)^2
     The next training forward on the network overwrites the cache the
     previous one returned, so run the backward pass first. ``copy()`` and
     the checkpoint loaders start without the buffer, and ``train_forecaster``
     drops it before it returns. An inference forward keeps no steps: each
-    step writes over the last in one slot per array.
+    step writes over the last in one slot per array, and a batch of more
+    than ``_LSTM_ROWS`` rows runs in blocks, so its step arrays stay the
+    size of one block.
     """
 
     LAYOUT = "[w (4u, in + u), b (4u), w_out (u), b_out (1)]"
@@ -363,8 +384,13 @@ class Lstm:
         return x
 
     def forward_batch(self, sequences: np.ndarray) -> np.ndarray:
-        """Predictions for a (batch, steps[, input_dim]) array of sequences."""
-        return self._head(self._hidden(self._coerce_batch(sequences)))
+        """Predictions for a (batch, steps[, input_dim]) array of sequences. A batch of more
+        than ``_LSTM_ROWS`` rows runs through ``_hidden`` in the blocks of ``_row_blocks``."""
+        x = self._coerce_batch(sequences)
+        if len(x) <= _LSTM_ROWS:
+            return self._head(self._hidden(x))
+        return np.concatenate([self._head(self._hidden(x[block]))
+                               for block in _row_blocks(len(x), _LSTM_ROWS)])
 
     def _forward_batch_cache(self, x: np.ndarray):
         """Predictions plus the training buffers that BPTT reads (see the class notes)."""
@@ -372,7 +398,7 @@ class Lstm:
         n, steps, d = x.shape
         u = self.units
         shapes = [(steps, n, 4 * u), (steps, n, d + u), (steps, 4, n, u), (steps + 1, n, u),
-                  (steps, n, u), (steps, 3, n, u), (steps, n, u), (steps, n, u)]
+                  (steps, n, u), (steps, n, u)]
         size = sum(math.prod(shape) for shape in shapes)
         if self._train_buf is None or self._train_buf.size < size:
             self._train_buf = np.empty(size)
@@ -427,14 +453,16 @@ class Lstm:
 
     def _backward_from_cache(self, cache, dy: np.ndarray) -> np.ndarray:
         """BPTT of the row-summed prediction * dy as one vector laid out like ``theta``."""
-        h_last, (dz, xh, acts, cs, tcs, d_s, d_g, d_tc) = cache
+        h_last, (dz, xh, acts, cs, tcs, d_tc) = cache
         steps, _, n, u = acts.shape
         d = self.input_dim
         w_rec = self.w[:, d:]
-        # Derivative factors for every step at once: 1 - s, 1 - g^2, 1 - tanh(c)^2.
-        np.subtract(1.0, acts[:, :3], out=d_s)
-        np.multiply(acts[:, 3], acts[:, 3], out=d_g)
-        np.subtract(1.0, d_g, out=d_g)
+        # Derivative factors for every step at once: 1 - s for f, i, o and 1 - g^2, laid
+        # out like acts in dz until step t's gradients overwrite them, and 1 - tanh(c)^2.
+        factors = dz.reshape(steps, 4, n, u)
+        np.subtract(1.0, acts[:, :3], out=factors[:, :3])
+        np.multiply(acts[:, 3], acts[:, 3], out=factors[:, 3])
+        np.subtract(1.0, factors[:, 3], out=factors[:, 3])
         np.multiply(tcs, tcs, out=d_tc)
         np.subtract(1.0, d_tc, out=d_tc)
         dh = dy[:, None] * self.w_out[None, :]
@@ -444,7 +472,7 @@ class Lstm:
         # Products keep the order of the per-step formulas, such as ((dc * c_prev) * f) * (1 - f),
         # so the factors computed above give the same bits as computing them step by step.
         for t in range(steps - 1, -1, -1):
-            a = acts[t]
+            a, f = acts[t], factors[t]
             np.multiply(dh, a[2], out=tmp)
             tmp *= d_tc[t]
             dc += tmp
@@ -452,9 +480,9 @@ class Lstm:
             np.multiply(dc, a[3], out=dzt[1])
             np.multiply(dh, tcs[t], out=dzt[2])
             dzt[:3] *= a[:3]
-            dzt[:3] *= d_s[t]
+            dzt[:3] *= f[:3]
             np.multiply(dc, a[1], out=dzt[3])
-            dzt[3] *= d_g[t]
+            dzt[3] *= f[3]
             np.copyto(dz[t].reshape(n, 4, u).transpose(1, 0, 2), dzt)
             np.matmul(dz[t], w_rec, out=dh)
             dc *= a[0]

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,21 @@ class TestTrainLstm:
         reference = train_forecaster(series, units=16, epochs=2, seed=5)
         assert np.array_equal(fit[0].lstm.theta, reference[0].lstm.theta)
         assert fit[1] == reference[1]
+
+
+class TestFitMemory:
+    def test_fit_holds_one_working_set_at_a_time(self):
+        # Criterion-5 size: 720 hours, 32 units. The 2.4 MB training step buffer is freed
+        # before the final 557-window pass, so the traced peak is the larger phase, about
+        # 2.9 MB, not their sum. One epoch reaches the same peak as 50.
+        series = simulate_total_quantity(seed=3, steps=720)
+        tracemalloc.start()
+        try:
+            train_forecaster(series, units=32, epochs=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestPredict:

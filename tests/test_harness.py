@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import re
 import warnings
 from pathlib import Path
@@ -12,7 +13,7 @@ from varbid.harness import (SCHEMA, ConfigError, ExperimentConfig, _write_manife
                             build_config, emit_trace, parse_config_file, run_experiment,
                             run_matrix, sweep)
 from varbid.agent import BiddingTask, greedy_episode
-from varbid.forecast import load_forecaster
+from varbid.forecast import load_forecaster, train_forecaster
 from varbid.market import DEFAULT_GENCOS, GencoParams, InfeasibleDemand, ReactiveMarketEnv
 from varbid.nn import NumericError, load_network
 
@@ -116,6 +117,12 @@ class TestConfigParsing:
             assert getattr(config, f.name) == f.default
             changed = dataclasses.replace(config, **{f.name: 0.5 * f.default})
             assert getattr(changed.demand_config(), f.name) == 0.5 * f.default
+
+    def test_forecaster_fields_default_to_train_forecaster(self):
+        config = ExperimentConfig()
+        defaults = inspect.signature(train_forecaster).parameters
+        for name in ("units", "epochs", "batch_size", "learning_rate"):
+            assert getattr(config, f"forecaster_{name}") == defaults[name].default
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="seeds"):

@@ -558,7 +558,8 @@ class TestLstmMatchesReference:
     @pytest.mark.parametrize("input_dim", [1, 3])
     @pytest.mark.parametrize("steps", [1, 2, 24])
     @pytest.mark.parametrize("units", [1, 16, 32])
-    @pytest.mark.parametrize("rows", [1, 13, 32, 169])
+    # 257, 264 and 557 rows stream through forward_batch in 2 or 3 blocks.
+    @pytest.mark.parametrize("rows", [1, 13, 32, 169, 257, 264, 557])
     def test_predictions_state_and_gradient(self, rows, units, steps, input_dim):
         rng = np.random.default_rng([rows, units, steps, input_dim])
         lstm = Lstm.random(input_dim, units, seed=units)
@@ -599,7 +600,7 @@ class TestLstmMatchesReference:
 
 class TestLstmMemory:
     def test_warm_training_pass_allocates_only_scratch(self):
-        # The step buffers of a 32-row, 24-step, 32-unit batch take 3.2 MB; a warm
+        # The step buffers of a 32-row, 24-step, 32-unit batch take 2.4 MB; a warm
         # forward and backward allocates only per-call scratch, about 0.2 MB.
         rng = np.random.default_rng(10)
         lstm = Lstm.random(1, 32, seed=5)
@@ -629,6 +630,25 @@ class TestLstmMemory:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1], f"traced peaks {peaks[0] / 1e6:.2f} vs {peaks[1] / 1e6:.2f} MB"
         assert lstm._train_buf is None
+
+    def test_long_inference_stays_below_the_training_buffer(self):
+        # The fit's final pass, 557 windows, streams in blocks: about 1.2 MB traced, against
+        # 3.3 MB in one block, more than the 2.4 MB step buffer of the fit's batches.
+        rng = np.random.default_rng(12)
+        lstm = Lstm.random(1, 32, seed=7)
+        lstm._backward_from_cache(lstm._forward_batch_cache(rng.normal(size=(32, 24)))[1],
+                                  np.ones(32))
+        train_bytes = lstm._train_buf.nbytes
+        lstm._train_buf = None
+        x = rng.normal(size=(557, 24, 1))
+        lstm.forward_batch(x)
+        tracemalloc.start()
+        try:
+            lstm.forward_batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_600_000 < train_bytes, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestOptimizers:
