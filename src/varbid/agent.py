@@ -250,9 +250,9 @@ class TrainConfig:
             (self.episodes >= 1, "episodes must be >= 1"),
             (self.max_iterations is None or self.max_iterations >= 1,
              "max_iterations must be None or >= 1"),
-            (self.learning_rate > 0, "learning_rate must be positive"),
+            (0 < self.learning_rate < math.inf, "learning_rate must be finite and > 0"),
             (0.0 <= self.per_beta <= 1.0, "per_beta must be in [0, 1]"),
-            (self.per_eps > 0.0, "per_eps must be > 0"),
+            (0.0 < self.per_eps < math.inf, "per_eps must be finite and > 0"),
         ]
         for ok, message in checks:
             if not ok:

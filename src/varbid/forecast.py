@@ -61,7 +61,7 @@ class Forecaster:
         windows = np.asarray(windows, dtype=float)
         if windows.ndim != 2 or windows.shape[1] != WINDOW:
             raise ShapeError(f"windows must have shape (n, {WINDOW}), got {windows.shape}")
-        return self.lstm.forward_batch(self._normalize(windows))
+        return self.lstm.forward(self._normalize(windows))
 
     def predict_batch(self, windows) -> np.ndarray:
         """Raw-scale predictions for a (n, 24) array of raw-scale windows."""
@@ -104,7 +104,7 @@ def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
             raise ValueError(message)
     values = _series_values(series)
     rng = np.random.default_rng(seed)
-    lstm = Lstm.random(1, units, int(rng.integers(2**31)))
+    lstm = Lstm.random(units, int(rng.integers(2**31)))
     split = holdout_split(len(values) - WINDOW)
     seen = values[:WINDOW + split]
     forecaster = Forecaster(lstm=lstm, lo=float(seen.min()), hi=float(seen.max()))
@@ -120,7 +120,7 @@ def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
     # No batch's cache outlives _fit_batch, so this frees the step buffer before the
     # final pass, and the result holds none.
     lstm._train_buf = None
-    final_mse = float(np.mean((lstm.forward_batch(x) - y) ** 2))
+    final_mse = float(np.mean((lstm.forward(x) - y) ** 2))
     if not np.isfinite(final_mse):
         raise NumericError(f"non-finite loss at epoch {epochs - 1}")
     return forecaster, final_mse
@@ -129,7 +129,7 @@ def train_forecaster(series, units: int = 32, epochs: int = 50, seed: int = 0,
 def _fit_batch(lstm: Lstm, opt: Adam, x: np.ndarray, y: np.ndarray, epoch: int) -> None:
     """One Adam step on the squared error of the windows ``x`` against ``y``. The
     predictions, the cache (views of the step buffer) and the gradient end with the call."""
-    preds, cache = lstm._forward_batch_cache(x[:, :, None])
+    preds, cache = lstm._forward_cache(x)
     err = preds - y
     if not np.all(np.isfinite(err)):
         raise NumericError(f"non-finite loss at epoch {epoch}")
@@ -143,7 +143,7 @@ def _fit_batch(lstm: Lstm, opt: Adam, x: np.ndarray, y: np.ndarray, epoch: int) 
 def save_forecaster(forecaster: Forecaster, path: str) -> None:
     lstm = forecaster.lstm
     write_checkpoint(path, {"kind": "forecaster", "lo": forecaster.lo, "hi": forecaster.hi,
-                            "units": lstm.units, "input_dim": lstm.input_dim}, lstm)
+                            "units": lstm.units, "input_dim": 1}, lstm)
 
 
 def load_forecaster(path: str) -> Forecaster:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import inspect
+import math
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -106,7 +107,8 @@ class ExperimentConfig(TrainConfig):
             (self.forecaster_units >= 1, "forecaster_units: must be >= 1"),
             (self.forecaster_epochs >= 0, "forecaster_epochs: must be >= 0"),
             (self.forecaster_batch_size >= 1, "forecaster_batch_size: must be >= 1"),
-            (self.forecaster_learning_rate > 0, "forecaster_learning_rate: must be positive"),
+            (0 < self.forecaster_learning_rate < math.inf,
+             "forecaster_learning_rate: must be finite and > 0"),
         ]
         for ok, message in checks:
             if not ok:

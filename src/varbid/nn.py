@@ -18,10 +18,14 @@ for backward; a training batch of more than ``_STREAM_ROWS`` rows gets
 layer arrays of its own, dropped after its backward pass. Bias and ReLU
 passes over ``_BLOCK_ROWS`` rows or more run on blocks viewed as long rows,
 at vector speed and bit-identical.
-``Lstm`` inference keeps no steps, and ``forward_batch`` streams a batch of
-more than ``_LSTM_ROWS`` rows through the recurrence block by block, so its
-step arrays stay the size of one block. Both networks split a long batch
-into the near-equal blocks of ``_row_blocks``, which keep every row's bits.
+``Lstm`` reads one scalar series: its inference keeps no steps, and
+``forward`` streams a batch of more than ``_LSTM_ROWS`` sequences through the
+recurrence block by block, so its step arrays stay the size of one block.
+Both networks split a long batch into the near-equal blocks of
+``_row_blocks``, which keep every row's bits. Both take a 2-D batch through
+one interface: ``forward(rows)`` for inference, and ``_forward_cache(rows)``
+then ``_backward_from_cache`` for training, on (batch, in) rows for an
+``Mlp`` and (batch, steps) sequences for an ``Lstm``.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ _BLOCK_ROWS = 128
 # pass's bits. At 1,024 rows two 64-wide layers take 1 MB of a core's 2 MB L2.
 _STREAM_ROWS = 1024
 
-# Lstm.forward_batch runs a batch of more than _LSTM_ROWS rows in blocks, so an inference
+# Lstm.forward runs a batch of more than _LSTM_ROWS sequences in blocks, so an inference
 # pass's step arrays (about 5.5 kB a row at 32 units) stay the size of one block. On a
 # 2-vCPU Intel Xeon VM (numpy 2.4.6, OpenBLAS, 2 threads) a fit's final pass (557 rows,
 # 24 steps, 32 units; timeit, best of 15) took 15.2-15.4 ms at limits of 128 to 512 rows
@@ -189,39 +193,36 @@ class Mlp:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network on a single vector or a (batch, in) array; returns a new array.
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        """The (batch, out) outputs for a (batch, in) array of rows, as a new array.
 
         A batch of more than ``_STREAM_ROWS`` rows runs through the hidden-layer buffers
         in the blocks of ``_row_blocks``."""
-        x, a = self._batch(x)
-        rows = len(a)
-        if rows <= _STREAM_ROWS:
-            out = self._forward_into(a, self._work)[0]
-        else:
-            out = np.empty((rows, self.out_dim))
-            for block in _row_blocks(rows, _STREAM_ROWS):
-                self._forward_into(a[block], self._work, out[block])
-        return out[0] if x.ndim == 1 else out
+        a = self._batch(rows)
+        if len(a) <= _STREAM_ROWS:
+            return self._forward_into(a, self._work)[0]
+        out = np.empty((len(a), self.out_dim))
+        for block in _row_blocks(len(a), _STREAM_ROWS):
+            self._forward_into(a[block], self._work, out[block])
+        return out
 
-    def _forward_cache(self, x: np.ndarray):
+    def _forward_cache(self, rows: np.ndarray):
         """Output and every layer's input, for the backward pass, which needs the whole
         batch. Up to ``_STREAM_ROWS`` rows the hidden layers go into this network's
         buffers, so the next call on this network overwrites the layer inputs: run the
         backward pass before it. A larger batch gets arrays of its own, not kept."""
-        x, a = self._batch(x)
+        a = self._batch(rows)
         work = (self._work if len(a) <= _STREAM_ROWS
                 else [np.empty((len(a), w.shape[0])) for w in self.weights[:-1]])
-        out, layer_inputs = self._forward_into(a, work)
-        return (out[0] if x.ndim == 1 else out), layer_inputs
+        return self._forward_into(a, work)
 
-    def _batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``x`` as a float array, and its rows as a (batch, in) array."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.in_dim:
-            raise ShapeError(f"input of shape {x.shape} is not a vector or a batch of "
+    def _batch(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` as a float (batch, in) array."""
+        a = np.asarray(rows, dtype=float)
+        if a.ndim != 2 or a.shape[1] != self.in_dim:
+            raise ShapeError(f"input of shape {a.shape} is not a batch of "
                              f"{self.in_dim}-feature rows")
-        return x, (x[None, :] if x.ndim == 1 else x)
+        return a
 
     def _forward_into(self, a: np.ndarray, work: list[np.ndarray], out=None):
         """Output for the rows ``a``, written into ``out`` if given, and every layer's
@@ -288,9 +289,9 @@ def _one_slot(shape: tuple) -> np.ndarray:
 
 
 class Lstm:
-    """Single-layer LSTM with a dense scalar head.
+    """Single-layer LSTM on a scalar series, with a dense scalar head.
 
-    Gate recursion per step (zero initial hidden and cell state):
+    Gate recursion per step, for input x_t (zero initial hidden and cell state):
         forget  f = sigmoid(W_f x + U_f h + b_f)
         input   i = sigmoid(W_i x + U_i h + b_i)
         cand    g = tanh   (W_g x + U_g h + b_g)
@@ -299,11 +300,11 @@ class Lstm:
         hidden  h = o * tanh(c)
     The prediction is w_out . h_last + b_out.
 
-    The gates are stacked: ``w`` is (4u, in + u) and ``b`` is (4u,), with
+    The gates are stacked: ``w`` is (4u, 1 + u) and ``b`` is (4u,), with
     row blocks of u in the order f, i, o, g, so one sigmoid covers the
     pre-activation values of the first 3u rows and one tanh the last u.
-    Each block's first ``in`` columns hold W and its last u columns hold U:
-    W_f is ``w[:u, :in]``, U_i is ``w[u:2u, in:]``, b_g is ``b[3u:]``.
+    Each block's first column holds W and its last u columns hold U:
+    W_f is ``w[:u, 0]``, U_i is ``w[u:2u, 1:]``, b_g is ``b[3u:]``.
     ``theta`` holds w, b, w_out, b_out back to back; the arrays given are
     copied into it.
 
@@ -314,7 +315,7 @@ class Lstm:
                               until step t's gradients overwrite them, dz[t]
                               holds that step's 1 - s for f, i, o and 1 - g^2,
                               laid out like acts[t]
-        xh    (T, n, in + u)  [x_t, h_{t-1}], the weight gradient's other operand
+        xh    (T, n, 1 + u)   [x_t, h_{t-1}], the weight gradient's other operand
         acts  (T, 4, n, u)    gates f, i, o, g, gate by gate
         cs    (T + 1, n, u)   c_{t-1} at index t, zero at index 0
         tcs   (T, n, u)       tanh(c_t)
@@ -328,12 +329,11 @@ class Lstm:
     size of one block.
     """
 
-    LAYOUT = "[w (4u, in + u), b (4u), w_out (u), b_out (1)]"
+    LAYOUT = "[w (4u, 1 + u), b (4u), w_out (u), b_out (1)]"
 
     def __init__(self, w: np.ndarray, b: np.ndarray, w_out: np.ndarray, b_out: np.ndarray):
         u = w_out.shape[0] if w_out.ndim == 1 else 0
-        if (u < 1 or w.ndim != 2 or w.shape[0] != 4 * u or w.shape[1] <= u
-                or b.shape != (4 * u,) or b_out.shape != (1,)):
+        if u < 1 or w.shape != (4 * u, 1 + u) or b.shape != (4 * u,) or b_out.shape != (1,):
             raise ShapeError(
                 f"w {w.shape}, b {b.shape}, w_out {w_out.shape}, b_out "
                 f"{b_out.shape} do not fit {self.LAYOUT}")
@@ -341,28 +341,24 @@ class Lstm:
         self._train_buf: np.ndarray | None = None  # training step buffers, see above
 
     @classmethod
-    def random(cls, input_dim: int, units: int, seed: int) -> "Lstm":
-        if input_dim < 1 or units < 1:
-            raise ShapeError(f"input_dim and units must be >= 1, got {input_dim}, {units}")
+    def random(cls, units: int, seed: int) -> "Lstm":
+        if units < 1:
+            raise ShapeError(f"units must be >= 1, got {units}")
         rng = np.random.default_rng(seed)
         # Glorot blocks drawn gate by gate in the order f, i, g, o, W before U.
-        f, i, g, o = [np.hstack([_glorot(rng, units, input_dim), _glorot(rng, units, units)])
+        f, i, g, o = [np.hstack([_glorot(rng, units, 1), _glorot(rng, units, units)])
                       for _ in range(4)]
         w_out = _glorot(rng, 1, units)[0]
         return cls(np.vstack([f, i, o, g]), np.zeros(4 * units), w_out, np.zeros(1))
 
     @classmethod
-    def zeros(cls, input_dim: int, units: int) -> "Lstm":
-        return cls(np.zeros((4 * units, input_dim + units)), np.zeros(4 * units),
+    def zeros(cls, units: int) -> "Lstm":
+        return cls(np.zeros((4 * units, 1 + units)), np.zeros(4 * units),
                    np.zeros(units), np.zeros(1))
 
     @property
     def units(self) -> int:
         return self.w_out.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w.shape[1] - self.units
 
     def params(self) -> list[np.ndarray]:
         """Views into ``theta`` in its order (w, b, w_out, b_out)."""
@@ -373,31 +369,28 @@ class Lstm:
 
     # -- forward ------------------------------------------------------------
 
-    def _coerce_batch(self, sequences: np.ndarray) -> np.ndarray:
-        x = np.asarray(sequences, dtype=float)
-        if x.ndim == 2 and self.input_dim == 1:
-            x = x[:, :, None]
-        if x.ndim != 3 or x.shape[2] != self.input_dim:
-            raise ShapeError(f"expected sequences of {self.input_dim}-dim inputs, got {x.shape}")
-        if x.shape[1] == 0:
-            raise ShapeError("empty sequence")
+    def _coerce_batch(self, rows: np.ndarray) -> np.ndarray:
+        x = np.asarray(rows, dtype=float)
+        if x.ndim != 2 or x.shape[1] == 0:
+            raise ShapeError(f"expected a (batch, steps) array of sequences of one step or more, "
+                             f"got shape {x.shape}")
         return x
 
-    def forward_batch(self, sequences: np.ndarray) -> np.ndarray:
-        """Predictions for a (batch, steps[, input_dim]) array of sequences. A batch of more
-        than ``_LSTM_ROWS`` rows runs through ``_hidden`` in the blocks of ``_row_blocks``."""
-        x = self._coerce_batch(sequences)
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        """Predictions for a (batch, steps) array of sequences. A batch of more than
+        ``_LSTM_ROWS`` rows runs through ``_hidden`` in the blocks of ``_row_blocks``."""
+        x = self._coerce_batch(rows)
         if len(x) <= _LSTM_ROWS:
             return self._head(self._hidden(x))
         return np.concatenate([self._head(self._hidden(x[block]))
                                for block in _row_blocks(len(x), _LSTM_ROWS)])
 
-    def _forward_batch_cache(self, x: np.ndarray):
+    def _forward_cache(self, rows: np.ndarray):
         """Predictions plus the training buffers that BPTT reads (see the class notes)."""
-        x = self._coerce_batch(x)
-        n, steps, d = x.shape
+        x = self._coerce_batch(rows)
+        n, steps = x.shape
         u = self.units
-        shapes = [(steps, n, 4 * u), (steps, n, d + u), (steps, 4, n, u), (steps + 1, n, u),
+        shapes = [(steps, n, 4 * u), (steps, n, 1 + u), (steps, 4, n, u), (steps + 1, n, u),
                   (steps, n, u), (steps, n, u)]
         size = sum(math.prod(shape) for shape in shapes)
         if self._train_buf is None or self._train_buf.size < size:
@@ -412,30 +405,29 @@ class Lstm:
     def _hidden(self, x: np.ndarray, xh=None, acts=None, cs=None, tcs=None) -> np.ndarray:
         """Final hidden state. Given the training buffers, every step keeps its values
         there; without them, each step writes over the last in one slot per array."""
-        n, steps, d = x.shape
+        n, steps = x.shape
         u = self.units
-        w_in, w_rec = self.w[:, :d].T, self.w[:, d:].T
+        w_rec = self.w[:, 1:].T
         if xh is None:
             acts, cs, tcs = (_one_slot(shape) for shape in
                              ((steps, 4, n, u), (steps + 1, n, u), (steps, n, u)))
         else:
-            xh[:, :, :d] = x.transpose(1, 0, 2)
-            xh[0, :, d:] = 0.0
+            xh[:, :, 0] = x.T
+            xh[0, :, 1:] = 0.0
         cs[0] = 0.0
         h = np.zeros((n, u))
         z = np.empty((n, 4 * u))
         z_gates = z.reshape(n, 4, u).transpose(1, 0, 2)
         xw = np.empty((n, 4 * u))
-        # With one input, x_t W is one product per entry: a broadcast multiply gives
-        # the k = 1 matmul's values without its BLAS call.
-        w_col = self.w[:, 0].copy() if d == 1 else None
+        # x_t W is one product per entry: a broadcast multiply gives the k = 1 matmul's
+        # values without its BLAS call.
+        w_col = self.w[:, 0].copy()
         b = self.b.reshape(4, 1, u)
         e, num, ig = np.empty((3, n, u)), np.empty((3, n, u)), np.empty((n, u))
         for t in range(steps):
             # (x_t W + h U) + b in that order; the bias add also lays the gates out one by one.
             np.matmul(h, w_rec, out=z)
-            z += (np.multiply(x[:, t], w_col, out=xw) if d == 1
-                  else np.matmul(x[:, t], w_in, out=xw))
+            z += np.multiply(x[:, t, None], w_col, out=xw)
             a = acts[t]
             np.add(z_gates, b, out=a)
             _sigmoid(a[:3], e, num)
@@ -446,7 +438,7 @@ class Lstm:
             np.tanh(c, out=tcs[t])
             np.multiply(a[2], tcs[t], out=h)
             if xh is not None and t + 1 < steps:
-                xh[t + 1, :, d:] = h
+                xh[t + 1, :, 1:] = h
         return h
 
     # -- backward -----------------------------------------------------------
@@ -455,8 +447,7 @@ class Lstm:
         """BPTT of the row-summed prediction * dy as one vector laid out like ``theta``."""
         h_last, (dz, xh, acts, cs, tcs, d_tc) = cache
         steps, _, n, u = acts.shape
-        d = self.input_dim
-        w_rec = self.w[:, d:]
+        w_rec = self.w[:, 1:]
         # Derivative factors for every step at once: 1 - s for f, i, o and 1 - g^2, laid
         # out like acts in dz until step t's gradients overwrite them, and 1 - tanh(c)^2.
         factors = dz.reshape(steps, 4, n, u)
@@ -490,7 +481,7 @@ class Lstm:
         dz = dz.reshape(steps * n, 4 * u)
         grad = np.empty_like(self.theta)
         dw, db, dw_out, db_out = _views(grad, self.shapes)
-        dw[...] = dz.T @ xh.reshape(steps * n, d + u)
+        dw[...] = dz.T @ xh.reshape(steps * n, 1 + u)
         db[...] = dz.sum(axis=0)
         dw_out[...] = dy @ h_last
         db_out[...] = dy.sum()
@@ -569,44 +560,40 @@ def soft_update(target, local, tau: float):
 # Gradient checking
 # ---------------------------------------------------------------------------
 
-def grad_check(net, inputs: np.ndarray, epsilon: float = 1e-5,
+def grad_check(net, rows: np.ndarray, epsilon: float = 1e-5,
                probe: np.ndarray | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``inputs`` is one input vector (``Mlp``) or one sequence (``Lstm``). The
-    checked scalar is <probe, output> with probe defaulting to all ones; for
-    an ``Lstm`` the output is the scalar prediction. Relative error uses
-    max(|analytic|, |numeric|, 1e-8) as denominator.
+    ``rows`` is a batch for ``net.forward``: (batch, in) rows for an ``Mlp``,
+    (batch, steps) sequences for an ``Lstm``. The checked scalar is the sum of
+    probe * output, with probe shaped like the output and all ones by default.
+    Relative error uses max(|analytic|, |numeric|, 1e-8) as denominator. A
+    non-finite gradient entry, analytic or numeric, raises NumericError.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    x = np.asarray(inputs, dtype=float)[None]
-    if isinstance(net, Mlp):
-        out, cache = net._forward_cache(x)
-        run = net.forward
-    elif isinstance(net, Lstm):
-        out, cache = net._forward_batch_cache(x)
-        run = net.forward_batch
-    else:
-        raise TypeError(f"cannot gradient-check {type(net).__name__}")
-    g = np.ones(out.shape[1:]) if probe is None else np.asarray(probe, dtype=float)
-    if g.shape != out.shape[1:]:
-        raise ShapeError(f"probe shape {g.shape} != output shape {out.shape[1:]}")
-    analytic = net._backward_from_cache(cache, g[None])
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    out, cache = net._forward_cache(rows)
+    g = np.ones_like(out) if probe is None else np.asarray(probe, dtype=float)
+    if g.shape != out.shape:
+        raise ShapeError(f"probe shape {g.shape} != output shape {out.shape}")
+    analytic = net._backward_from_cache(cache, g)
 
     theta = net.theta
-    worst = 0.0
+    numeric = np.empty_like(theta)
     for idx in range(theta.size):
         orig = theta[idx]
         theta[idx] = orig + epsilon
-        f_plus = float(np.sum(g * run(x)))
+        f_plus = float(np.sum(g * net.forward(rows)))
         theta[idx] = orig - epsilon
-        f_minus = float(np.sum(g * run(x)))
+        f_minus = float(np.sum(g * net.forward(rows)))
         theta[idx] = orig
-        numeric = (f_plus - f_minus) / (2.0 * epsilon)
-        denom = max(abs(analytic[idx]), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic[idx] - numeric) / denom)
-    return worst
+        numeric[idx] = (f_plus - f_minus) / (2.0 * epsilon)
+    for name, grad in (("analytic", analytic), ("numeric", numeric)):
+        if not np.isfinite(grad).all():
+            raise NumericError(f"non-finite {name} gradient at index "
+                               f"{int(np.argmin(np.isfinite(grad)))}")
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +617,7 @@ def save_network(net, path: str) -> None:
     if isinstance(net, Mlp):
         header = {"kind": "mlp", "layer_sizes": net.layer_sizes}
     elif isinstance(net, Lstm):
-        header = {"kind": "lstm", "input_dim": net.input_dim, "units": net.units}
+        header = {"kind": "lstm", "input_dim": 1, "units": net.units}
     else:
         raise TypeError(f"cannot serialize {type(net).__name__}")
     write_checkpoint(path, header, net)
@@ -663,13 +650,20 @@ def read_checkpoint(path: str, layouts: dict[str, dict[str, type | tuple]]) -> d
 
 def network_from(blob: dict, path: str, kind: str):
     """The ``kind`` network ("mlp" or "lstm") of a ``read_checkpoint`` blob, arrays missing
-    at the end left zero. Bad sizes or arrays raise ValueError naming the path."""
-    sizes = blob["layer_sizes"] if kind == "mlp" else [blob["input_dim"], blob["units"]]
-    if len(sizes) < 2 or not all(type(s) is int and s >= 1 for s in sizes):
-        keys = ("'layer_sizes' must be two or more" if kind == "mlp"
-                else "'input_dim' and 'units' must be")
-        raise ShapeError(f"{path}: {blob['kind']} checkpoint's {keys} ints >= 1, got {sizes}")
-    net = Mlp.zeros(sizes) if kind == "mlp" else Lstm.zeros(*sizes)
+    at the end left zero. Bad sizes or arrays raise ValueError naming the path. An lstm
+    header's ``input_dim`` must be 1: the LSTM reads one series."""
+    prefix = f"{path}: {blob['kind']} checkpoint's"
+    if kind == "mlp":
+        sizes = blob["layer_sizes"]
+        if len(sizes) < 2 or not all(type(s) is int and s >= 1 for s in sizes):
+            raise ShapeError(f"{prefix} 'layer_sizes' must be two or more ints >= 1, got {sizes}")
+        net = Mlp.zeros(sizes)
+    else:
+        if blob["input_dim"] != 1:
+            raise ShapeError(f"{prefix} 'input_dim' must be 1, got {blob['input_dim']}")
+        if blob["units"] < 1:
+            raise ShapeError(f"{prefix} 'units' must be >= 1, got {blob['units']}")
+        net = Lstm.zeros(blob["units"])
     params, arrays = net.params(), blob["arrays"]
     for k, (p, flat) in enumerate(zip(params, arrays)):
         if not (isinstance(flat, list) and all(type(v) in (int, float) for v in flat)):

@@ -41,8 +41,8 @@ class ReplayBuffer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
-        if eps_priority <= 0.0:
-            raise ValueError(f"eps_priority must be > 0, got {eps_priority}")
+        if not 0.0 < eps_priority < math.inf:
+            raise ValueError(f"eps_priority must be finite and > 0, got {eps_priority}")
         self.capacity = capacity
         self.beta = beta
         self.eps_priority = eps_priority

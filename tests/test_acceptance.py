@@ -29,9 +29,10 @@ def report(number: int, description: str, passed: bool, detail: str = "") -> Non
 
 
 def input_away_from_kinks(net: Mlp, rng, margin=1e-3):
+    """A one-row batch with no hidden pre-activation near a ReLU kink."""
     for _ in range(200):
-        x = rng.normal(size=net.in_dim)
-        a = x[None, :]
+        x = rng.normal(size=(1, net.in_dim))
+        a = x
         ok = True
         for w, b in zip(net.weights[:-1], net.biases[:-1]):  # the ReLU layers
             z = a @ w.T + b
@@ -58,8 +59,8 @@ def test_criterion_1_gradient_fidelity():
         worst = max(worst, grad_check(net, x))
     for k in range(10):
         units = int(rng.integers(2, 9))
-        lstm = Lstm.random(1, units, seed=2000 + k)
-        seq = rng.normal(size=5)
+        lstm = Lstm.random(units, seed=2000 + k)
+        seq = rng.normal(size=(1, 5))
         worst = max(worst, grad_check(lstm, seq))
     report(1, "gradient fidelity: 20 MLPs + 10 LSTMs, max relative error < 1e-4",
            worst < 1e-4, f"max error {worst:.3g}")

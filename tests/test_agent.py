@@ -95,7 +95,7 @@ class TestQValues:
         state = np.random.default_rng(3).normal(size=STATE_DIM)
         qs = q_values(net, state)
         for k in (0, 7, 80):
-            direct = net.forward(np.concatenate([state, [k / 80.0]]))[0]
+            direct = net.forward(np.concatenate([state, [k / 80.0]])[None])[0, 0]
             assert qs[k] == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 64])

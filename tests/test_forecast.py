@@ -23,7 +23,7 @@ def untrained_mse(fc, series):
     norm = (values - head.min()) / (head.max() - head.min())
     x = np.array([norm[k:k + WINDOW] for k in range(split)])
     y = np.array([norm[k + WINDOW] for k in range(split)])
-    return float(np.mean((fc.lstm.forward_batch(x) - y) ** 2))
+    return float(np.mean((fc.lstm.forward(x) - y) ** 2))
 
 
 class TestMakeDataset:
@@ -40,7 +40,7 @@ class TestMakeDataset:
         fc, mse = train_forecaster(series, units=3, epochs=0, seed=0)
         assert np.array_equal(fc._normalize(series), np.zeros(30))
         zeros = np.zeros((holdout_split(30 - WINDOW), WINDOW))
-        assert mse == float(np.mean(fc.lstm.forward_batch(zeros) ** 2))
+        assert mse == float(np.mean(fc.lstm.forward(zeros) ** 2))
 
     def test_window_alignment(self):
         series = demand_profile(120, seed=4).values
@@ -151,9 +151,12 @@ class TestTrainLstm:
         series = 1.0 + 0.3 * np.sin(np.arange(120) / 4.0) + 0.01 * np.arange(120)
         fit = train_forecaster(series, units=16, epochs=2, seed=5)
         assert fit[0].lstm._train_buf is None  # the result holds no training buffer
-        monkeypatch.setattr(Lstm, "_forward_batch_cache", lstm_forward_cache_reference)
+        # The references read (batch, steps, 1) arrays.
+        monkeypatch.setattr(Lstm, "_forward_cache",
+                            lambda lstm, x: lstm_forward_cache_reference(lstm, x[..., None]))
         monkeypatch.setattr(Lstm, "_backward_from_cache", lstm_backward_reference)
-        monkeypatch.setattr(Lstm, "_hidden", lstm_hidden_reference)
+        monkeypatch.setattr(Lstm, "_hidden",
+                            lambda lstm, x: lstm_hidden_reference(lstm, x[..., None]))
         reference = train_forecaster(series, units=16, epochs=2, seed=5)
         assert np.array_equal(fit[0].lstm.theta, reference[0].lstm.theta)
         assert fit[1] == reference[1]
@@ -176,14 +179,14 @@ class TestFitMemory:
 
 class TestPredict:
     def test_bias_only_model_returns_denormalized_bias(self):
-        lstm = Lstm.zeros(1, 4)
+        lstm = Lstm.zeros(4)
         lstm.b_out[0] = 0.5
         fc = Forecaster(lstm=lstm, lo=10.0, hi=20.0)
         assert fc.predict_batch(np.full((1, 24), 12.0))[0] == pytest.approx(15.0)
         assert fc.predict_batch_normalized(np.full((1, 24), 12.0))[0] == 0.5
 
     def test_wrong_window_length_rejected(self):
-        fc = Forecaster(lstm=Lstm.zeros(1, 2), lo=0.0, hi=1.0)
+        fc = Forecaster(lstm=Lstm.zeros(2), lo=0.0, hi=1.0)
         for shape in ((1, 23), (2, 5), (24,), (1, 24, 1), (3, 25)):
             for predict in (fc.predict_batch, fc.predict_batch_normalized):
                 with pytest.raises(ShapeError, match=rf"^windows must have shape \(n, 24\), "
@@ -229,7 +232,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_non_finite_checkpoint_rejected(self, tmp_path, bad):
-        fc = Forecaster(lstm=Lstm.random(1, 3, seed=0), lo=0.0, hi=1.0)
+        fc = Forecaster(lstm=Lstm.random(3, seed=0), lo=0.0, hi=1.0)
         path = tmp_path / "fc.json"
         save_forecaster(fc, str(path))
         blob = json.loads(path.read_text())
@@ -243,7 +246,7 @@ class TestPersistence:
                              ids=["hi_nan", "lo_inf", "lo_above_hi"])
     def test_bad_scale_rejected(self, tmp_path, lo, hi):
         path = tmp_path / "fc.json"
-        save_forecaster(Forecaster(lstm=Lstm.random(1, 3, seed=0), lo=lo, hi=hi), str(path))
+        save_forecaster(Forecaster(lstm=Lstm.random(3, seed=0), lo=lo, hi=hi), str(path))
         with pytest.raises(ValueError, match=f"{path}: need finite lo <= hi"):
             load_forecaster(str(path))
 
@@ -256,11 +259,11 @@ class TestPersistence:
         ({"kind": "forecaster", "lo": "0", "hi": 1.0, "units": 3, "input_dim": 1, "arrays": []},
          "forecaster checkpoint's 'lo' must be of type int or float, got str"),
         ({"kind": "forecaster", "lo": 0.0, "hi": 1.0, "units": -2, "input_dim": 1, "arrays": []},
-         "forecaster checkpoint's 'input_dim' and 'units' must be ints >= 1, got [1, -2]"),
+         "forecaster checkpoint's 'units' must be >= 1, got -2"),
         ({"kind": "forecaster", "lo": 0.0, "hi": 1.0, "units": 0, "input_dim": 1, "arrays": []},
-         "forecaster checkpoint's 'input_dim' and 'units' must be ints >= 1, got [1, 0]"),
+         "forecaster checkpoint's 'units' must be >= 1, got 0"),
         ({"kind": "forecaster", "lo": 0.0, "hi": 1.0, "units": 3, "input_dim": 0, "arrays": []},
-         "forecaster checkpoint's 'input_dim' and 'units' must be ints >= 1, got [0, 3]"),
+         "forecaster checkpoint's 'input_dim' must be 1, got 0"),
     ], ids=["list", "other-kind", "no-input-dim", "str-lo", "negative-units", "zero-units",
             "zero-input-dim"])
     def test_malformed_checkpoint_names_the_file_and_key(self, tmp_path, blob, message):
@@ -271,7 +274,7 @@ class TestPersistence:
 
     def test_constant_series_scale_loads(self, tmp_path):
         path = tmp_path / "fc.json"
-        save_forecaster(Forecaster(lstm=Lstm.random(1, 3, seed=0), lo=0.4, hi=0.4), str(path))
+        save_forecaster(Forecaster(lstm=Lstm.random(3, seed=0), lo=0.4, hi=0.4), str(path))
         assert np.isfinite(load_forecaster(str(path)).predict_batch(np.full((1, 24), 0.4))[0])
 
     def test_series_csv_round_trip(self, tmp_path):

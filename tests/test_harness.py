@@ -140,7 +140,8 @@ class TestConfigParsing:
         ("forecaster_series_steps", 10), ("forecaster_learning_rate", -1.0),
         ("peak_units", float("nan")), ("participation", -0.5), ("participation", 1.5),
         ("daily_amplitude", float("inf")), ("noise_amplitude", -0.3),
-        ("max_iterations", 0), ("max_iterations", -3)])
+        ("max_iterations", 0), ("max_iterations", -3), ("per_eps", float("inf")),
+        ("learning_rate", float("inf")), ("forecaster_learning_rate", float("inf"))])
     def test_train_field_validation_surfaces(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}\b"):
             tiny_config(tmp_path, **{key: value})

@@ -15,13 +15,13 @@ from varbid.nn import (_BLOCK_ROWS, _STREAM_ROWS, Adam, Lstm, Mlp, NumericError,
 
 def mlp_grads(net, x, g):
     """Per-array views of the batch-path gradient of <forward(x), g>."""
-    _, cache = net._forward_cache(np.atleast_2d(x))
-    return _views(net._backward_from_cache(cache, np.atleast_2d(g)), net.shapes)
+    _, cache = net._forward_cache(x)
+    return _views(net._backward_from_cache(cache, g), net.shapes)
 
 
 def lstm_grads(lstm, seq, dy):
     """Per-array views of the BPTT gradient of prediction * dy for one sequence."""
-    _, cache = lstm._forward_batch_cache(np.asarray(seq, dtype=float)[None])
+    _, cache = lstm._forward_cache(np.asarray(seq, dtype=float)[None])
     return _views(lstm._backward_from_cache(cache, np.array([dy])), lstm.shapes)
 
 
@@ -32,10 +32,10 @@ def lstm_run(lstm, seq):
 
 
 def random_input_away_from_kinks(net, rng, margin=1e-3):
-    """Draw inputs until no hidden pre-activation sits near a ReLU kink."""
+    """Draw one-row batches until no hidden pre-activation sits near a ReLU kink."""
     for _ in range(100):
-        x = rng.normal(size=net.in_dim)
-        a = x[None, :]
+        x = rng.normal(size=(1, net.in_dim))
+        a = x
         ok = True
         for w, b in zip(net.weights[:-1], net.biases[:-1]):  # the ReLU layers
             z = a @ w.T + b
@@ -87,11 +87,11 @@ class TestMlpInit:
 class TestMlpForward:
     def test_zero_net_outputs_zero(self):
         net = Mlp.zeros([5, 4, 3])
-        assert np.array_equal(net.forward(np.ones(5)), np.zeros(3))
+        assert np.array_equal(net.forward(np.ones((1, 5))), np.zeros((1, 3)))
 
     def test_identity_linear_layer(self):
         net = Mlp([np.eye(4)], [np.zeros(4)])
-        x = np.array([1.0, -2.0, 3.5, 0.0])
+        x = np.array([[1.0, -2.0, 3.5, 0.0]])
         assert np.array_equal(net.forward(x), x)
 
     def test_matches_manual_affine_relu_chain(self):
@@ -100,21 +100,28 @@ class TestMlpForward:
         x = rng.normal(size=6)
         h = np.maximum(net.weights[0] @ x + net.biases[0], 0.0)
         expected = net.weights[1] @ h + net.biases[1]
-        assert np.allclose(net.forward(x), expected, rtol=0, atol=1e-12)
+        assert np.allclose(net.forward(x[None])[0], expected, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         net = Mlp.random([6, 3], seed=0)
         with pytest.raises(ShapeError):
-            net.forward(np.zeros(5))
+            net.forward(np.zeros((1, 5)))
         with pytest.raises(ShapeError, match=r"\(2, 4, 6\)"):
             net.forward(np.zeros((2, 4, 6)))
+
+    @pytest.mark.parametrize("run", ["forward", "_forward_cache"])
+    def test_single_vector_rejected(self, run):
+        # Every input is a batch: one row is a (1, in) array.
+        net = Mlp.random([6, 3], seed=0)
+        with pytest.raises(ShapeError, match=r"input of shape \(6,\) is not a batch"):
+            getattr(net, run)(np.zeros(6))
 
     def test_batch_matches_rowwise(self):
         net = Mlp.random([4, 7, 2], seed=9)
         xs = np.random.default_rng(1).normal(size=(5, 4))
         batch = net.forward(xs)
         for k in range(5):
-            assert np.allclose(batch[k], net.forward(xs[k]), rtol=0, atol=1e-12)
+            assert np.allclose(batch[k], net.forward(xs[k:k + 1])[0], rtol=0, atol=1e-12)
 
 
 class TestMlpWorkspace:
@@ -160,11 +167,11 @@ class TestMlpWorkspace:
         # One (_STREAM_ROWS, width) buffer per hidden layer, whatever the batch.
         assert [w.shape for w in net._work] == [(_STREAM_ROWS, 64), (_STREAM_ROWS, 64)]
 
-    def test_single_vector_uses_buffers_too(self):
+    def test_one_row_uses_buffers_too(self):
         net = Mlp.random([6, 8, 3], seed=5)
-        x = np.random.default_rng(11).normal(size=6)
+        x = np.random.default_rng(11).normal(size=(1, 6))
         out = net.forward(x)
-        assert out.shape == (3,)
+        assert out.shape == (1, 3)
         assert np.array_equal(out, net._forward_cache(x)[0])
         assert [w.shape for w in net._work] == [(_STREAM_ROWS, 8)]
 
@@ -285,14 +292,14 @@ class TestMlpBackward:
         net = Mlp.zeros([3, 2])
         x = np.array([1.0, 2.0, -1.0])
         g = np.array([0.5, -1.5])
-        grads = mlp_grads(net, x, g)
+        grads = mlp_grads(net, x[None], g[None])
         assert np.allclose(grads[0], np.outer(g, x))
         assert np.allclose(grads[1], g)
 
     def test_dead_relu_blocks_gradient(self):
         # One hidden unit forced negative: its incoming weights get no gradient.
         net = Mlp([np.array([[1.0], [-1.0]]), np.ones((1, 2))], [np.zeros(2), np.zeros(1)])
-        grads = mlp_grads(net, np.array([2.0]), np.array([1.0]))
+        grads = mlp_grads(net, np.array([[2.0]]), np.array([[1.0]]))
         assert grads[0][0, 0] != 0.0
         assert grads[0][1, 0] == 0.0
 
@@ -306,7 +313,7 @@ class TestMlpBackward:
         # Training sums the per-row products over a batch; check that sum.
         rng = np.random.default_rng(5)
         net = Mlp.random([5, 7, 6, 3], seed=8)
-        x = np.stack([random_input_away_from_kinks(net, rng) for _ in range(6)])
+        x = np.concatenate([random_input_away_from_kinks(net, rng) for _ in range(6)])
         probe = rng.normal(size=(6, 3))
         analytic = mlp_grads(net, x, probe)
         eps = 1e-5
@@ -325,7 +332,7 @@ class TestMlpBackward:
     def test_output_gradient_dimension_checked(self):
         net = Mlp.random([4, 3], seed=0)
         with pytest.raises(ShapeError):
-            grad_check(net, np.zeros(4), probe=np.zeros(2))
+            grad_check(net, np.zeros((1, 4)), probe=np.zeros((1, 2)))
 
 
 class TestSigmoid:
@@ -360,10 +367,11 @@ def gate(k: int, units: int) -> slice:
 
 
 def per_gate_reference(lstm: Lstm, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(final hidden states, predictions) from the docstring equations, gate by gate."""
-    d, u = lstm.input_dim, lstm.units
-    W = {k: lstm.w[gate(k, u), :d] for k in (F, I, O, G)}
-    U = {k: lstm.w[gate(k, u), d:] for k in (F, I, O, G)}
+    """(final hidden states, predictions) from the docstring equations, gate by gate,
+    for a (batch, steps) array of sequences."""
+    u = lstm.units
+    W = {k: lstm.w[gate(k, u), 0] for k in (F, I, O, G)}
+    U = {k: lstm.w[gate(k, u), 1:] for k in (F, I, O, G)}
     b = {k: lstm.b[gate(k, u)] for k in (F, I, O, G)}
 
     def sig(v):
@@ -372,11 +380,11 @@ def per_gate_reference(lstm: Lstm, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     h = np.zeros((x.shape[0], u))
     c = np.zeros_like(h)
     for t in range(x.shape[1]):
-        xt = x[:, t, :]
-        f = sig(xt @ W[F].T + h @ U[F].T + b[F])
-        i = sig(xt @ W[I].T + h @ U[I].T + b[I])
-        g = np.tanh(xt @ W[G].T + h @ U[G].T + b[G])
-        o = sig(xt @ W[O].T + h @ U[O].T + b[O])
+        xt = x[:, t, None]
+        f = sig(xt * W[F] + h @ U[F].T + b[F])
+        i = sig(xt * W[I] + h @ U[I].T + b[I])
+        g = np.tanh(xt * W[G] + h @ U[G].T + b[G])
+        o = sig(xt * W[O] + h @ U[O].T + b[O])
         c = f * c + i * g
         h = o * np.tanh(c)
     return h, h @ lstm.w_out + lstm.b_out[0]
@@ -384,15 +392,16 @@ def per_gate_reference(lstm: Lstm, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 class TestLstm:
     def test_stacked_layout_holds_four_arrays(self):
-        lstm = Lstm.random(2, 5, seed=0)
-        assert [p.shape for p in lstm.params()] == [(20, 7), (20,), (5,), (1,)]
-        assert (lstm.input_dim, lstm.units) == (2, 5)
+        lstm = Lstm.random(5, seed=0)
+        assert [p.shape for p in lstm.params()] == [(20, 6), (20,), (5,), (1,)]
+        assert lstm.units == 5
 
     @pytest.mark.parametrize("shapes", [
-        [(8, 3), (8,), (3,), (1,)],    # w has no input columns for 3 units
+        [(12, 3), (12,), (3,), (1,)],  # w has no input column for 3 units
         [(12, 4), (12,), (2,), (1,)],  # w rows are not 4 * units
         [(8, 3), (4,), (2,), (1,)],    # short gate bias
         [(8, 3), (8,), (2,), (2,)],    # two head biases
+        [(8, 4), (8,), (2,), (1,)],    # two input columns: the LSTM reads one series
     ])
     def test_inconsistent_arrays_rejected(self, shapes):
         with pytest.raises(ShapeError):
@@ -400,16 +409,16 @@ class TestLstm:
 
     def test_random_stacks_per_gate_draws(self):
         # Glorot blocks drawn gate by gate (f, i, g, o; W before U), then stacked f, i, o, g.
-        d, u = 2, 3
+        u = 3
         rng = np.random.default_rng(4)
 
         def glorot(fan_out, fan_in):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
-        blocks = {k: np.hstack([glorot(u, d), glorot(u, u)]) for k in (F, I, G, O)}
+        blocks = {k: np.hstack([glorot(u, 1), glorot(u, u)]) for k in (F, I, G, O)}
         w_out = glorot(1, u)[0]
-        lstm = Lstm.random(d, u, seed=4)
+        lstm = Lstm.random(u, seed=4)
         assert np.array_equal(lstm.w, np.vstack([blocks[k] for k in (F, I, O, G)]))
         assert np.array_equal(lstm.w_out, w_out)
         assert not lstm.b.any() and not lstm.b_out.any()
@@ -418,31 +427,31 @@ class TestLstm:
     @pytest.mark.parametrize("batch", [1, 7, 32])
     def test_stacked_matches_per_gate_reference(self, batch, units):
         rng = np.random.default_rng(batch * 100 + units)
-        lstm = Lstm.random(1, units, seed=units)
+        lstm = Lstm.random(units, seed=units)
         lstm.b[:] = rng.normal(scale=0.5, size=4 * units)
         lstm.b_out[0] = 0.3
-        x = rng.normal(size=(batch, 24, 1))
+        x = rng.normal(size=(batch, 24))
         h_ref, pred_ref = per_gate_reference(lstm, x)
-        assert np.abs(lstm.forward_batch(x) - pred_ref).max() <= 1e-14
+        assert np.abs(lstm.forward(x) - pred_ref).max() <= 1e-14
         hidden, pred = lstm_run(lstm, x[0])
         assert np.abs(hidden - h_ref[0]).max() <= 1e-14
         assert abs(pred - pred_ref[0]) <= 1e-14
 
-    def test_forward_batch_equals_training_path_bit_for_bit(self):
+    def test_forward_equals_training_path_bit_for_bit(self):
         rng = np.random.default_rng(6)
-        lstm = Lstm.random(1, 16, seed=6)
+        lstm = Lstm.random(16, seed=6)
         lstm.b[:] = rng.normal(size=64)
         x = rng.normal(size=(9, 24))
-        assert np.array_equal(lstm.forward_batch(x), lstm._forward_batch_cache(x)[0])
+        assert np.array_equal(lstm.forward(x), lstm._forward_cache(x)[0])
 
     def test_zero_params_predict_head_bias(self):
-        lstm = Lstm.zeros(1, 6)
+        lstm = Lstm.zeros(6)
         lstm.b_out[0] = 0.37
-        pred = lstm.forward_batch(np.array([[1.0, -2.0, 3.0]]))[0]
+        pred = lstm.forward(np.array([[1.0, -2.0, 3.0]]))[0]
         assert pred == pytest.approx(0.37, abs=1e-12)
 
     def test_hand_computed_single_unit_two_steps(self):
-        lstm = Lstm.zeros(1, 1)
+        lstm = Lstm.zeros(1)
         lstm.w[F, 0] = 0.5
         lstm.w[I, 0] = -0.3
         lstm.w[G, 0] = 0.8
@@ -468,14 +477,14 @@ class TestLstm:
         assert pred == pytest.approx(2.0 * h - 0.5, abs=1e-12)
 
     def test_hidden_state_length_tracks_units(self):
-        lstm = Lstm.random(1, 100, seed=0)
-        hidden = lstm._hidden(np.linspace(0, 1, 24).reshape(1, 24, 1))
+        lstm = Lstm.random(100, seed=0)
+        hidden = lstm._hidden(np.linspace(0, 1, 24).reshape(1, 24))
         assert hidden.shape == (1, 100)
 
     def test_recurrent_bias_dynamics_match_manual_recursion(self):
         # Zero input weights: the cell runs on biases alone from zero state.
         rng = np.random.default_rng(5)
-        lstm = Lstm.random(1, 3, seed=8)
+        lstm = Lstm.random(3, seed=8)
         lstm.w[:, 0] = 0.0
         for k in (F, I, G, O):
             lstm.b[gate(k, 3)] = rng.normal(size=3)
@@ -495,17 +504,17 @@ class TestLstm:
             c = f * c + i * g
             h = o * np.tanh(c)
         expected = float(lstm.w_out @ h + lstm.b_out[0])
-        pred = lstm.forward_batch(np.zeros((1, 4)))[0]
+        pred = lstm.forward(np.zeros((1, 4)))[0]
         assert pred == pytest.approx(expected, abs=1e-12)
 
     def test_zero_loss_gradient_zero_grads(self):
-        lstm = Lstm.random(1, 4, seed=1)
-        _, cache = lstm._forward_batch_cache(np.array([[0.3, -0.2]]))
+        lstm = Lstm.random(4, seed=1)
+        _, cache = lstm._forward_cache(np.array([[0.3, -0.2]]))
         assert np.all(lstm._backward_from_cache(cache, np.zeros(1)) == 0.0)
 
     def test_single_step_gradient_matches_hand_computation(self):
         # One unit, one step: prediction = w_out * o * tanh(i * g) + b_out.
-        lstm = Lstm.zeros(1, 1)
+        lstm = Lstm.zeros(1)
         lstm.w[I, 0] = 0.4
         lstm.w[G, 0] = 0.7
         lstm.w[O, 0] = -0.2
@@ -530,41 +539,51 @@ class TestLstm:
             1.5 * o * (1 - tc**2) * g * i * (1 - i) * x, abs=1e-12)
 
     def test_bptt_matches_finite_differences(self):
-        lstm = Lstm.random(1, 5, seed=13)
-        seq = np.random.default_rng(4).normal(size=5)
+        lstm = Lstm.random(5, seed=13)
+        seq = np.random.default_rng(4).normal(size=(1, 5))
         assert grad_check(lstm, seq) < 1e-4
 
     def test_empty_sequence_rejected(self):
-        lstm = Lstm.random(1, 3, seed=0)
+        lstm = Lstm.random(3, seed=0)
         with pytest.raises(ShapeError):
-            lstm.forward_batch(np.zeros((1, 0)))
+            lstm.forward(np.zeros((1, 0)))
+
+    @pytest.mark.parametrize("run", ["forward", "_forward_cache"])
+    def test_three_dimensional_input_rejected(self, run):
+        # Each step is one scalar: a (batch, steps, 1) array is not a batch of sequences.
+        lstm = Lstm.random(3, seed=0)
+        with pytest.raises(ShapeError, match=r"\(batch, steps\) array of sequences of one step "
+                                             r"or more, got shape \(2, 4, 1\)"):
+            getattr(lstm, run)(np.zeros((2, 4, 1)))
 
 
 def assert_matches_reference(lstm, x, dy):
-    """Training and inference paths equal the per-step reference loop bit for bit."""
-    want_pred, want_cache = lstm_forward_cache_reference(lstm, x)
+    """Training and inference paths on the (batch, steps) array ``x`` equal the per-step
+    reference loop, which reads (batch, steps, 1), bit for bit."""
+    want_pred, want_cache = lstm_forward_cache_reference(lstm, x[..., None])
     want_h = want_cache[1]
     want_grad = lstm_backward_reference(lstm, want_cache, dy)
     for _ in range(2):  # the second pass reuses the buffer the first one made
-        pred, cache = lstm._forward_batch_cache(x)
+        pred, cache = lstm._forward_cache(x)
         assert np.array_equal(pred, want_pred)
         assert np.array_equal(cache[0], want_h)  # the final hidden state
         assert np.array_equal(lstm._backward_from_cache(cache, dy), want_grad)
-    assert np.array_equal(lstm.forward_batch(x), want_pred)
+    assert np.array_equal(lstm.forward(x), want_pred)
     assert np.array_equal(lstm._hidden(x), want_h)
 
 
 class TestLstmMatchesReference:
-    @pytest.mark.parametrize("input_dim", [1, 3])
+    # Inputs of scale 3 push more gates toward saturation than those of scale 1.
+    @pytest.mark.parametrize("scale", [1, 3])
     @pytest.mark.parametrize("steps", [1, 2, 24])
     @pytest.mark.parametrize("units", [1, 16, 32])
-    # 257, 264 and 557 rows stream through forward_batch in 2 or 3 blocks.
+    # 257, 264 and 557 rows stream through forward in 2 or 3 blocks.
     @pytest.mark.parametrize("rows", [1, 13, 32, 169, 257, 264, 557])
-    def test_predictions_state_and_gradient(self, rows, units, steps, input_dim):
-        rng = np.random.default_rng([rows, units, steps, input_dim])
-        lstm = Lstm.random(input_dim, units, seed=units)
+    def test_predictions_state_and_gradient(self, rows, units, steps, scale):
+        rng = np.random.default_rng([rows, units, steps, scale])
+        lstm = Lstm.random(units, seed=units)
         lstm.b[:] = rng.normal(size=4 * units)
-        assert_matches_reference(lstm, rng.normal(size=(rows, steps, input_dim)),
+        assert_matches_reference(lstm, scale * rng.normal(size=(rows, steps)),
                                  rng.normal(size=rows))
 
     @pytest.mark.parametrize("scale", [1.0, 30.0])
@@ -572,29 +591,29 @@ class TestLstmMatchesReference:
         # Biases of +-60 keep every pre-activation at |z| >= 40; scaled weights push
         # some past the point where exp underflows and the gates are exactly 0 or 1.
         rng = np.random.default_rng(7)
-        lstm = Lstm.random(1, 16, seed=2)
+        lstm = Lstm.random(16, seed=2)
         lstm.w *= scale
         lstm.b[:] = 60.0 * rng.choice([-1.0, 1.0], size=64)
-        x = rng.uniform(-1.0, 1.0, size=(32, 24, 1))
-        z = x[:, 0] @ lstm.w[:, :1].T + lstm.b
+        x = rng.uniform(-1.0, 1.0, size=(32, 24))
+        z = x[:, :1] * lstm.w[:, 0] + lstm.b
         assert np.abs(z).min() >= 40.0
         assert_matches_reference(lstm, x, rng.normal(size=32))
 
     def test_zero_output_gradient(self):
         rng = np.random.default_rng(8)
-        lstm = Lstm.random(1, 16, seed=3)
-        assert_matches_reference(lstm, rng.normal(size=(13, 24, 1)), np.zeros(13))
+        lstm = Lstm.random(16, seed=3)
+        assert_matches_reference(lstm, rng.normal(size=(13, 24)), np.zeros(13))
 
     def test_short_batch_views_a_prefix_of_the_buffer(self):
         rng = np.random.default_rng(9)
-        lstm = Lstm.random(1, 16, seed=4)
-        lstm._backward_from_cache(lstm._forward_batch_cache(rng.normal(size=(32, 24)))[1],
+        lstm = Lstm.random(16, seed=4)
+        lstm._backward_from_cache(lstm._forward_cache(rng.normal(size=(32, 24)))[1],
                                   np.ones(32))
         buf = lstm._train_buf
-        x = rng.normal(size=(13, 24, 1))
+        x = rng.normal(size=(13, 24))
         assert_matches_reference(lstm, x, rng.normal(size=13))
         assert lstm._train_buf is buf
-        _, (_, bufs) = lstm._forward_batch_cache(x)
+        _, (_, bufs) = lstm._forward_cache(x)
         assert all(b.base is buf for b in bufs)
 
 
@@ -603,12 +622,12 @@ class TestLstmMemory:
         # The step buffers of a 32-row, 24-step, 32-unit batch take 2.4 MB; a warm
         # forward and backward allocates only per-call scratch, about 0.2 MB.
         rng = np.random.default_rng(10)
-        lstm = Lstm.random(1, 32, seed=5)
-        x, dy = rng.normal(size=(32, 24, 1)), rng.normal(size=32)
-        lstm._backward_from_cache(lstm._forward_batch_cache(x)[1], dy)
+        lstm = Lstm.random(32, seed=5)
+        x, dy = rng.normal(size=(32, 24)), rng.normal(size=32)
+        lstm._backward_from_cache(lstm._forward_cache(x)[1], dy)
         tracemalloc.start()
         try:
-            lstm._backward_from_cache(lstm._forward_batch_cache(x)[1], dy)
+            lstm._backward_from_cache(lstm._forward_cache(x)[1], dy)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -617,10 +636,10 @@ class TestLstmMemory:
     def test_inference_keeps_no_steps(self):
         # The final-MSE pass of a fit: 557 windows of 24 steps.
         rng = np.random.default_rng(11)
-        lstm = Lstm.random(1, 32, seed=6)
-        x = rng.normal(size=(557, 24, 1))
+        lstm = Lstm.random(32, seed=6)
+        x = rng.normal(size=(557, 24))
         peaks = []
-        for run in (lstm.forward_batch, lambda x: lstm_hidden_reference(lstm, x)):
+        for run in (lstm.forward, lambda x: lstm_hidden_reference(lstm, x[..., None])):
             run(x)
             tracemalloc.start()
             try:
@@ -635,16 +654,16 @@ class TestLstmMemory:
         # The fit's final pass, 557 windows, streams in blocks: about 1.2 MB traced, against
         # 3.3 MB in one block, more than the 2.4 MB step buffer of the fit's batches.
         rng = np.random.default_rng(12)
-        lstm = Lstm.random(1, 32, seed=7)
-        lstm._backward_from_cache(lstm._forward_batch_cache(rng.normal(size=(32, 24)))[1],
+        lstm = Lstm.random(32, seed=7)
+        lstm._backward_from_cache(lstm._forward_cache(rng.normal(size=(32, 24)))[1],
                                   np.ones(32))
         train_bytes = lstm._train_buf.nbytes
         lstm._train_buf = None
-        x = rng.normal(size=(557, 24, 1))
-        lstm.forward_batch(x)
+        x = rng.normal(size=(557, 24))
+        lstm.forward(x)
         tracemalloc.start()
         try:
-            lstm.forward_batch(x)
+            lstm.forward(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -770,7 +789,7 @@ class TestSoftUpdate:
 FLAT_NETS = {
     "nfq2": lambda: Mlp.random([13, 64, 81], seed=0),
     "nfq1": lambda: Mlp.random([14, 64, 64, 1], seed=1),
-    "lstm32": lambda: Lstm.random(1, 32, seed=2),
+    "lstm32": lambda: Lstm.random(32, seed=2),
 }
 
 
@@ -848,7 +867,7 @@ class TestFlatParameters:
 class TestGradCheck:
     def test_linear_network_near_exact(self):
         net = Mlp.random([5, 4], seed=1)
-        x = np.random.default_rng(0).normal(size=5)
+        x = np.random.default_rng(0).normal(size=(1, 5))
         assert grad_check(net, x) < 1e-8
 
     def test_random_mlp_below_tolerance(self):
@@ -860,7 +879,27 @@ class TestGradCheck:
     def test_epsilon_must_be_positive(self):
         net = Mlp.random([2, 2], seed=0)
         with pytest.raises(ValueError):
-            grad_check(net, np.zeros(2), epsilon=0.0)
+            grad_check(net, np.zeros((1, 2)), epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_epsilon_must_be_finite(self, epsilon):
+        net = Mlp.random([3, 4, 2], seed=0)
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            grad_check(net, np.ones((1, 3)), epsilon=epsilon)
+
+    def test_nan_probe_raises(self):
+        net = Mlp.random([3, 4, 2], seed=0)
+        with pytest.raises(NumericError, match="non-finite analytic gradient"):
+            grad_check(net, np.ones((1, 3)), probe=np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["first-weight", "output-bias"])
+    def test_nan_weight_raises(self, index):
+        # A NaN in the first weight reaches the analytic gradient through the hidden layer;
+        # one in the output bias leaves it finite and shows only in the numeric one.
+        net = Mlp.random([3, 4, 2], seed=0)
+        net.theta[index] = np.nan
+        with pytest.raises(NumericError, match="non-finite (analytic|numeric) gradient"):
+            grad_check(net, np.ones((1, 3)))
 
 
 class TestSerialization:
@@ -874,12 +913,12 @@ class TestSerialization:
             assert np.array_equal(a, b)
 
     def test_lstm_round_trip(self, tmp_path):
-        lstm = Lstm.random(1, 6, seed=9)
+        lstm = Lstm.random(6, seed=9)
         path = tmp_path / "lstm.json"
         save_network(lstm, str(path))
         loaded = load_network(str(path))
         seq = np.linspace(-1, 1, 8)[None]
-        assert loaded.forward_batch(seq)[0] == lstm.forward_batch(seq)[0]
+        assert loaded.forward(seq)[0] == lstm.forward(seq)[0]
 
     def test_per_gate_lstm_blob_rejected(self, tmp_path):
         # The layout before stacked gates: (W, U, b) for f, i, g, o, then the head.
@@ -892,7 +931,7 @@ class TestSerialization:
             load_network(str(path))
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("net", [Mlp.random([3, 4, 2], seed=0), Lstm.random(1, 3, seed=0)],
+    @pytest.mark.parametrize("net", [Mlp.random([3, 4, 2], seed=0), Lstm.random(3, seed=0)],
                              ids=["mlp", "lstm"])
     def test_non_finite_checkpoint_rejected(self, tmp_path, net, bad):
         path = tmp_path / "net.json"
@@ -922,11 +961,11 @@ class TestSerialization:
         ('{"kind": "mlp", "layer_sizes": [3], "arrays": []}',
          "mlp checkpoint's 'layer_sizes' must be two or more ints >= 1, got [3]"),
         ('{"kind": "lstm", "input_dim": 1, "units": -2, "arrays": []}',
-         "lstm checkpoint's 'input_dim' and 'units' must be ints >= 1, got [1, -2]"),
+         "lstm checkpoint's 'units' must be >= 1, got -2"),
         ('{"kind": "lstm", "input_dim": 1, "units": 0, "arrays": []}',
-         "lstm checkpoint's 'input_dim' and 'units' must be ints >= 1, got [1, 0]"),
+         "lstm checkpoint's 'units' must be >= 1, got 0"),
         ('{"kind": "lstm", "input_dim": 0, "units": 3, "arrays": []}',
-         "lstm checkpoint's 'input_dim' and 'units' must be ints >= 1, got [0, 3]"),
+         "lstm checkpoint's 'input_dim' must be 1, got 0"),
     ], ids=["list", "not-json", "unknown-kind", "no-layer-sizes", "int-layer-sizes",
             "bool-units", "text-layer-size", "float-layer-size", "bool-layer-size",
             "one-layer-size", "negative-units", "zero-units", "zero-input-dim"])
@@ -997,7 +1036,7 @@ class TestCheckpointFormat:
         else:
             lstm = loaded.lstm if kind == "forecaster" else loaded
             seq = [0.3, -0.7, 1.1]
-            assert lstm.forward_batch(np.array([seq]))[0] == pytest.approx(
+            assert lstm.forward(np.array([seq]))[0] == pytest.approx(
                 hand_lstm_prediction(seq), rel=1e-12)
         if kind == "forecaster":
             assert (loaded.lo, loaded.hi) == (0.25, 1.5)
@@ -1028,7 +1067,7 @@ class TestCheckpointContents:
     @pytest.mark.parametrize("kind", ["mlp", "lstm", "forecaster"])
     def test_bad_arrays(self, tmp_path, kind, edit):
         save, load = CODECS[kind]
-        net = Mlp.random([3, 4, 2], seed=0) if kind == "mlp" else Lstm.random(1, 3, seed=0)
+        net = Mlp.random([3, 4, 2], seed=0) if kind == "mlp" else Lstm.random(3, seed=0)
         path = tmp_path / "net.json"
         save(Forecaster(lstm=net, lo=0.0, hi=1.0) if kind == "forecaster" else net, str(path))
         blob = json.loads(path.read_text())
@@ -1040,7 +1079,7 @@ class TestCheckpointContents:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             load(str(path))
 
-    @pytest.mark.parametrize("net", [Mlp.random([3, 4, 2], seed=0), Lstm.random(1, 3, seed=0)],
+    @pytest.mark.parametrize("net", [Mlp.random([3, 4, 2], seed=0), Lstm.random(3, seed=0)],
                              ids=["mlp", "lstm"])
     def test_load_network_rejects_a_short_array_list(self, tmp_path, net):
         path = tmp_path / "net.json"
@@ -1052,10 +1091,24 @@ class TestCheckpointContents:
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}"):
             load_network(str(path))
 
+    @pytest.mark.parametrize("kind", ["lstm", "forecaster"])
+    def test_two_input_file_rejected(self, tmp_path, kind):
+        # A file of an LSTM with two inputs per step, its arrays sized to match: w is
+        # (4u, 2 + u). The LSTM reads one series, so the header alone rejects it.
+        u = 3
+        arrays = [[0.1] * (4 * u * (2 + u)), [0.0] * (4 * u), [0.5] * u, [0.0]]
+        scale = {"lo": 0.0, "hi": 1.0} if kind == "forecaster" else {}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"kind": kind, **scale, "input_dim": 2, "units": u,
+                                    "arrays": arrays}))
+        message = f"{path}: {kind} checkpoint's 'input_dim' must be 1, got 2"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            CODECS[kind][1](str(path))
+
     def test_forecaster_short_array_list_loads_zero_filled(self, tmp_path):
         # The one gap left open: the benchmark's self-test loads such a file and then
         # expects its predictions to differ.
-        fc = Forecaster(lstm=Lstm.random(1, 3, seed=0), lo=0.0, hi=1.0)
+        fc = Forecaster(lstm=Lstm.random(3, seed=0), lo=0.0, hi=1.0)
         path = tmp_path / "fc.json"
         save_forecaster(fc, str(path))
         blob = json.loads(path.read_text())

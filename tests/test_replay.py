@@ -37,7 +37,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize("kwargs", [
         {"capacity": 0}, {"capacity": 4, "beta": -0.1}, {"capacity": 4, "beta": 1.5},
-        {"capacity": 4, "eps_priority": 0.0},
+        {"capacity": 4, "eps_priority": 0.0}, {"capacity": 4, "eps_priority": float("nan")},
+        {"capacity": 4, "eps_priority": float("inf")},
     ])
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ValueError):
