@@ -149,7 +149,7 @@ def save_forecaster(forecaster: Forecaster, path: str) -> None:
 def load_forecaster(path: str) -> Forecaster:
     blob = read_checkpoint(path, {"forecaster": {"lo": (int, float), "hi": (int, float),
                                                  **CHECKPOINT_LAYOUTS["lstm"]}})
-    # A short array list still loads, zero-filled: perfbench/selftest.py needs it (ROADMAP item 8).
+    # A short array list still loads, zero-filled: perfbench/selftest.py needs it (ROADMAP item 7).
     lstm = network_from(blob, path, "lstm")
     lo, hi = blob["lo"], blob["hi"]
     if not (np.all(np.isfinite([lo, hi])) and lo <= hi):

@@ -502,8 +502,8 @@ class Adam:
         for name, beta in (("beta1", beta1), ("beta2", beta2)):
             if not 0.0 <= beta < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {beta}")
-        if not eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {eps}")
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"eps must be finite and > 0, got {eps}")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
@@ -600,8 +600,9 @@ def grad_check(net, rows: np.ndarray, epsilon: float = 1e-5,
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-# Each kind's header keys and JSON types, in file order (others, such as older mlp files'
+# Each network's header keys and JSON types, in file order (others, such as older mlp files'
 # activation tags, are ignored); "arrays" lists the params() arrays, flattened row-major.
+# "lstm" is the network part of a forecaster file, whose header save_forecaster writes.
 CHECKPOINT_LAYOUTS = {"mlp": {"layer_sizes": list, "arrays": list},
                       "lstm": {"input_dim": int, "units": int, "arrays": list}}
 
@@ -612,15 +613,11 @@ def write_checkpoint(path: str, header: dict, net) -> None:
         json.dump({**header, "arrays": [p.reshape(-1).tolist() for p in net.params()]}, fh)
 
 
-def save_network(net, path: str) -> None:
-    """Write a network as JSON: shape header plus row-major parameter arrays."""
-    if isinstance(net, Mlp):
-        header = {"kind": "mlp", "layer_sizes": net.layer_sizes}
-    elif isinstance(net, Lstm):
-        header = {"kind": "lstm", "input_dim": 1, "units": net.units}
-    else:
-        raise TypeError(f"cannot serialize {type(net).__name__}")
-    write_checkpoint(path, header, net)
+def save_network(net: Mlp, path: str) -> None:
+    """Write a Q network as JSON: its layer sizes, then its row-major parameter arrays."""
+    if not isinstance(net, Mlp):
+        raise TypeError(f"cannot serialize {type(net).__name__}: save_network writes an Mlp")
+    write_checkpoint(path, {"kind": "mlp", "layer_sizes": net.layer_sizes}, net)
 
 
 def read_checkpoint(path: str, layouts: dict[str, dict[str, type | tuple]]) -> dict:
@@ -680,11 +677,11 @@ def network_from(blob: dict, path: str, kind: str):
     return net
 
 
-def load_network(path: str):
-    """The network a ``save_network`` file holds; a malformed one raises ValueError naming it."""
-    blob = read_checkpoint(path, CHECKPOINT_LAYOUTS)
-    net = network_from(blob, path, blob["kind"])
+def load_network(path: str) -> Mlp:
+    """The ``Mlp`` of a ``save_network`` file; any other file raises ValueError naming it."""
+    blob = read_checkpoint(path, {"mlp": CHECKPOINT_LAYOUTS["mlp"]})
+    net = network_from(blob, path, "mlp")
     if len(blob["arrays"]) < len(net.params()):
-        raise ShapeError(f"{path}: {len(blob['arrays'])} arrays, the {blob['kind']} layout has "
+        raise ShapeError(f"{path}: {len(blob['arrays'])} arrays, the mlp layout has "
                          f"{len(net.params())}: {net.LAYOUT}")
     return net

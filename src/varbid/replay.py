@@ -37,8 +37,10 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, state_dim: int, beta: float = 0.7,
                  eps_priority: float = 0.01, n_actions: int = 81):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        for name, size in (("capacity", capacity), ("state_dim", state_dim),
+                           ("n_actions", n_actions)):
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
         if not 0.0 < eps_priority < math.inf:
@@ -117,14 +119,16 @@ class ReplayBuffer:
     def update_priorities(self, indices, td_errors) -> None:
         """Set priority |td_error| + eps_priority at each index (last write wins).
 
-        Out-of-range indices and non-finite errors are rejected before any write.
+        Non-integer or out-of-range indices and non-finite errors are rejected before any write.
         """
-        idx = np.asarray(indices, dtype=int)
+        idx = np.asarray(indices)
         errs = np.asarray(td_errors, dtype=float)
         if idx.shape != errs.shape:
             raise ValueError(f"{idx.size} indices but {errs.size} errors")
         if idx.size == 0:
             return
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
         if idx.min() < 0 or idx.max() >= self._size:
             raise ValueError(f"index outside stored range [0, {self._size - 1}]")
         priorities = np.abs(errs) + self.eps_priority

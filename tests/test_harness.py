@@ -80,6 +80,20 @@ def write_gencos(path, gencos) -> str:
     return str(path)
 
 
+# Each field with a value its check rejects. The ids are explicit, so that an inserted case
+# renames no other test.
+BAD_TRAIN_FIELDS = [
+    ("gamma", 1.5), ("per_beta", 2.0), ("per_eps", 0.0),
+    ("buffer_capacity", 0), ("forced_action_index", 81), ("hidden_sizes", (0,)),
+    ("hidden_sizes", (16, -4)), ("warmup_size", -3), ("episode_steps", 10),
+    ("forecaster_units", 0), ("forecaster_epochs", -1), ("forecaster_batch_size", 0),
+    ("forecaster_series_steps", 10), ("forecaster_learning_rate", -1.0),
+    ("peak_units", float("nan")), ("participation", -0.5), ("participation", 1.5),
+    ("daily_amplitude", float("inf")), ("noise_amplitude", -0.3),
+    ("max_iterations", 0), ("max_iterations", -3), ("per_eps", float("inf")),
+    ("learning_rate", float("inf")), ("forecaster_learning_rate", float("inf"))]
+
+
 class TestConfigParsing:
     def test_file_flag_default_precedence(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -132,16 +146,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="learner_id"):
             tiny_config(tmp_path, learner_id=9)
 
-    @pytest.mark.parametrize("key, value", [
-        ("gamma", 1.5), ("per_beta", 2.0), ("per_eps", 0.0),
-        ("buffer_capacity", 0), ("forced_action_index", 81), ("hidden_sizes", (0,)),
-        ("hidden_sizes", (16, -4)), ("warmup_size", -3), ("episode_steps", 10),
-        ("forecaster_units", 0), ("forecaster_epochs", -1), ("forecaster_batch_size", 0),
-        ("forecaster_series_steps", 10), ("forecaster_learning_rate", -1.0),
-        ("peak_units", float("nan")), ("participation", -0.5), ("participation", 1.5),
-        ("daily_amplitude", float("inf")), ("noise_amplitude", -0.3),
-        ("max_iterations", 0), ("max_iterations", -3), ("per_eps", float("inf")),
-        ("learning_rate", float("inf")), ("forecaster_learning_rate", float("inf"))])
+    @pytest.mark.parametrize("key, value", BAD_TRAIN_FIELDS,
+                             ids=[f"{key}-{value}".replace(" ", "")
+                                  for key, value in BAD_TRAIN_FIELDS])
     def test_train_field_validation_surfaces(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}\b"):
             tiny_config(tmp_path, **{key: value})

@@ -44,6 +44,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ReplayBuffer(state_dim=3, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"state_dim": 0}, "state_dim"), ({"state_dim": 3, "n_actions": 0}, "n_actions"),
+    ], ids=["state_dim=0", "n_actions=0"])
+    def test_empty_state_or_action_space_rejected(self, kwargs, name):
+        # With n_actions = 0 every add would fail with "an integer in [0, -1]".
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            ReplayBuffer(10, **kwargs)
+
 
 class TestAdd:
     def test_size_grows_to_capacity(self):
@@ -223,6 +231,19 @@ class TestUpdatePriorities:
         buf.add(*transition(0.0))
         with pytest.raises(ValueError):
             buf.update_priorities([1], [0.5])
+
+    @pytest.mark.parametrize("indices", [[1.7], np.array([0.9]), [True]],
+                             ids=["float-list", "float-array", "bool"])
+    def test_non_integer_index_rejected_before_any_write(self, indices):
+        # Cast to int, these would set entry 1, 0 and 1.
+        buf = ReplayBuffer(4, eps_priority=0.01, state_dim=3)
+        for r in range(3):
+            buf.add(*transition(float(r)))
+        priorities, weights = buf._priorities.copy(), buf._weights.copy()
+        with pytest.raises(ValueError, match="^indices must be integers"):
+            buf.update_priorities(indices, [0.5])
+        assert np.array_equal(buf._priorities, priorities)
+        assert np.array_equal(buf._weights, weights)
 
     def test_length_mismatch_rejected(self):
         buf = ReplayBuffer(4, state_dim=3)
